@@ -1234,6 +1234,31 @@ mod tests {
     }
 
     #[test]
+    fn zero_tree_version_cap_is_rejected() {
+        // A cap of 0 back-pressures an empty tree forever: no event is
+        // ever ingested, so no window opens to lift the stall.
+        let (query, _) = fixture(1, 1);
+        let config = SpectreConfig {
+            max_tree_versions: 0,
+            ..SpectreConfig::with_instances(2)
+        };
+        for threaded in [false, true] {
+            let builder = SpectreEngine::builder(&query).config(config.clone());
+            let builder = if threaded {
+                builder.threaded()
+            } else {
+                builder.simulated()
+            };
+            match builder.try_build() {
+                Err(EngineError::InvalidConfig(msg)) => {
+                    assert!(msg.contains("version cap"), "{msg}");
+                }
+                other => panic!("expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn reordered_session_matches_sequential_in_both_modes() {
         // NYSE-small timestamps advance in fixed steps; reversing chunks of
         // four bounds the disorder by three steps, within max_delay.

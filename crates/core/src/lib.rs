@@ -92,21 +92,20 @@
 //! ## The lazy dependency tree
 //!
 //! Creating a consumption group nominally doubles the creator's dependent
-//! subtree. With [`SpectreConfig::lazy_materialization`] on (the default)
-//! the completion branch is a single *lazy vertex* — a thunk over the
-//! sibling abandon edge — and group creation is O(1) in tree size. The
+//! subtree. Instead, the completion branch is a single *lazy vertex* — a
+//! thunk over the sibling abandon edge — and group creation is O(1) in
+//! tree size. The
 //! branch's version state is cloned only when the top-k selection first
 //! schedules it or its group completes; branches dropped by an
 //! abandonment, a rollback or a losing outer branch cost nothing
 //! (counted by [`MetricsSnapshot::lazy_versions_dropped`]). Window attach
-//! is deferred the same way ([`SpectreConfig::lazy_attach`], default on):
-//! opening a window records it on a *pending-attach marker* per leaf
-//! lineage, and the fresh version is created only when the selection
-//! actually schedules the lineage — one version per pop, so per-window
-//! version creation is O(scheduled lineages) instead of O(leaves).
-//! `false` restores the eager behaviors for A/B runs; the output is
-//! identical either way (enforced by the lazy/attach on/off matrices in
-//! the same test suites).
+//! is deferred the same way: opening a window records it on a
+//! *pending-attach marker* per leaf lineage, and the fresh version is
+//! created only when the selection actually schedules the lineage — one
+//! version per pop, so per-window version creation is O(scheduled
+//! lineages) instead of O(leaves). The paper's full tree (§3.1) is this
+//! tree with every thunk scheduled; the output equals the sequential
+//! reference engine's either way.
 //!
 //! ## The vectorized Markov predictor
 //!

@@ -71,7 +71,7 @@ pub struct Metrics {
     pub versions_materialized: AtomicU64,
     /// Lazy completion branches discarded before ever being materialized —
     /// speculation the lazy tree made free (each one stands for a whole
-    /// subtree copy the eager tree would have made and thrown away).
+    /// subtree copy made at group creation would have thrown away).
     pub lazy_versions_dropped: AtomicU64,
     /// Predictor refreshes performed by the splitter (each rebuilt the
     /// Markov completion-probability vectors).

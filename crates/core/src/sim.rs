@@ -20,8 +20,8 @@
 //! faithfully because the *same* tree, predictor, scheduler and consistency
 //! machinery run underneath. Everything is single-threaded and seeded-free,
 //! so runs are bit-for-bit reproducible. Lazy branch materialization
-//! ([`SpectreConfig::lazy_materialization`]) happens inside the splitter's
-//! maintenance cycle, so the virtual-time model is unchanged; the
+//! (see [`DependencyTree`](crate::tree::DependencyTree)) happens inside
+//! the splitter's maintenance cycle, so the virtual-time model is unchanged; the
 //! `versions_materialized` / `lazy_versions_dropped` counters in the
 //! report expose how much cloning the predictor's ranking avoided.
 

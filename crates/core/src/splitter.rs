@@ -251,7 +251,7 @@ impl QueryState {
     fn apply_op(&mut self, global: &Metrics, op: TreeOp, factory: &mut SplitterFactory) {
         match op {
             TreeOp::CgCreated { creator, cell } => {
-                self.tree.cg_created(creator, cell, factory);
+                self.tree.cg_created(creator, cell);
             }
             TreeOp::CgResolved { cg, completed } => {
                 let dropped = self.tree.cg_resolved(cg, completed, factory) as u64;
@@ -604,10 +604,7 @@ impl Splitter {
             query,
             group,
             offset,
-            tree: DependencyTree::with_modes(
-                self.config.lazy_materialization,
-                self.config.lazy_attach,
-            ),
+            tree: DependencyTree::new(),
             predictor,
             filter,
             live: VecDeque::new(),

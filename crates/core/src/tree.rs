@@ -19,15 +19,13 @@
 //! produced by invalid processing) and root retirement (emitting a finished,
 //! confirmed root version and promoting its child).
 //!
-//! # Lazy completion branches
+//! # Lazy completion branches and window attach
 //!
 //! Creating a CG nominally *doubles* the creator's dependent subtree —
-//! O(tree) state cloning per group, which dominates consumption-heavy
-//! workloads (most cloned branches are dropped before ever being
-//! scheduled). When lazy materialization is on (the default,
-//! [`SpectreConfig::lazy_materialization`](crate::SpectreConfig::lazy_materialization)),
-//! [`cg_created`](DependencyTree::cg_created) instead installs a single
-//! `Lazy` vertex on the completion edge: a thunk whose
+//! O(tree) state cloning per group, which would dominate
+//! consumption-heavy workloads (most branches are dropped before ever
+//! being scheduled). [`cg_created`](DependencyTree::cg_created) instead
+//! installs a single `Lazy` vertex on the completion edge: a thunk whose
 //! materialization source is the sibling abandon edge and whose
 //! suppressed-set delta is the owning CG's cell. The branch is
 //! [materialized](DependencyTree::top_k) — cloned from the *current*
@@ -35,9 +33,15 @@
 //! actually schedules it or its group completes; a lazy branch dropped by
 //! an abandonment, a rollback teardown or a losing outer branch costs
 //! nothing. Cloning from a source that has advanced past the group's
-//! events is sound for the same reason eager clones survive late group
+//! events is sound for the same reason any clone survives late group
 //! updates: the consistency checks (and the final validation at
 //! retirement) detect the overlap and roll the copy back.
+//!
+//! New windows are deferred the same way: [`new_window`](DependencyTree::new_window)
+//! records the window on one `PendingAttach` marker per leaf lineage, and
+//! the fresh versions are created only when the selection schedules the
+//! lineage or the root retires into it. The paper's full tree (Figs. 3
+//! and 4) is this tree with every thunk scheduled.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -138,16 +142,6 @@ pub struct DependencyTree {
     version_vertex: HashMap<u64, NodeId>,
     cg_vertices: HashMap<CgId, Vec<NodeId>>,
     version_count: usize,
-    /// When set (the default), completion branches are created as lazy
-    /// vertices and cloned only on demand; when clear,
-    /// [`cg_created`](Self::cg_created) copies the dependent subtree
-    /// eagerly (the original behavior, kept for A/B comparison).
-    lazy: bool,
-    /// When set (the default), newly opened windows are recorded on
-    /// pending-attach markers (one per leaf lineage) instead of eagerly
-    /// creating one fresh version per leaf; when clear,
-    /// [`new_window`](Self::new_window) attaches eagerly.
-    lazy_attach: bool,
     /// Monotonic stamp source for thunk vertices (lazy branches and
     /// pending-attach markers).
     next_thunk_stamp: u64,
@@ -171,29 +165,8 @@ impl Default for DependencyTree {
 }
 
 impl DependencyTree {
-    /// Creates an empty tree with lazy completion branches *and* lazy
-    /// window attach (the defaults).
+    /// Creates an empty tree.
     pub fn new() -> Self {
-        Self::with_modes(true, true)
-    }
-
-    /// Creates an empty tree that copies completion branches eagerly at
-    /// [`cg_created`](Self::cg_created) and attaches windows eagerly (the
-    /// fully pre-lazy behavior).
-    pub fn eager() -> Self {
-        Self::with_modes(false, false)
-    }
-
-    /// Creates an empty tree with the given completion-branch
-    /// materialization mode and *eager* window attach (the PR-3
-    /// configuration; the structural unit tests pin this shape).
-    pub fn with_lazy(lazy: bool) -> Self {
-        Self::with_modes(lazy, false)
-    }
-
-    /// Creates an empty tree with the given completion-branch and window-
-    /// attach materialization modes.
-    pub fn with_modes(lazy: bool, lazy_attach: bool) -> Self {
         DependencyTree {
             nodes: Vec::new(),
             free: Vec::new(),
@@ -201,8 +174,6 @@ impl DependencyTree {
             version_vertex: HashMap::new(),
             cg_vertices: HashMap::new(),
             version_count: 0,
-            lazy,
-            lazy_attach,
             next_thunk_stamp: 0,
             pending_window_count: 0,
             versions_materialized: 0,
@@ -359,38 +330,25 @@ impl DependencyTree {
         id
     }
 
-    /// Attaches versions of a newly opened window at every leaf
-    /// (paper Fig. 4, `newWindow`). Returns the created versions.
-    pub fn new_window(
-        &mut self,
-        window: &Arc<WindowInfo>,
-        f: &mut dyn VersionFactory,
-    ) -> Vec<Arc<VersionState>> {
-        let mut created = Vec::new();
+    /// Attaches a newly opened window at every leaf (paper Fig. 4,
+    /// `newWindow`). An independent window becomes the root version;
+    /// otherwise the window is recorded on one pending-attach marker per
+    /// leaf lineage and no version is created yet.
+    pub fn new_window(&mut self, window: &Arc<WindowInfo>, f: &mut dyn VersionFactory) {
         match self.root {
             None => {
                 // Independent window: single version, no suppression (an
                 // empty tree implies no live overlapping window; see the
                 // retirement argument in DESIGN.md).
                 let state = f.fresh(window, Vec::new());
-                let id = self.alloc_version(None, Arc::clone(&state));
+                let id = self.alloc_version(None, state);
                 self.root = Some(id);
-                created.push(state);
             }
-            Some(root) => {
-                self.attach_recursive(root, window, f, &mut created);
-            }
+            Some(root) => self.attach_recursive(root, window),
         }
-        created
     }
 
-    fn attach_recursive(
-        &mut self,
-        node: NodeId,
-        window: &Arc<WindowInfo>,
-        f: &mut dyn VersionFactory,
-        created: &mut Vec<Arc<VersionState>>,
-    ) {
+    fn attach_recursive(&mut self, node: NodeId, window: &Arc<WindowInfo>) {
         // A lineage that already ends in a pending-attach marker absorbs
         // the window with one push — this is what makes per-window attach
         // O(lineages) pointer work instead of O(leaves) version creation.
@@ -401,96 +359,49 @@ impl DependencyTree {
             return;
         }
         match self.node(node) {
-            Node::Version {
-                child,
-                state,
-                facts,
-                ..
-            } => match child {
+            Node::Version { child, .. } => match child {
                 Some(c) => {
                     let c = *c;
-                    self.attach_recursive(c, window, f, created);
+                    self.attach_recursive(c, window);
                 }
-                None if self.lazy_attach => {
+                None => {
                     let id = self.alloc_attach_marker(Some(node), vec![Arc::clone(window)]);
                     let Node::Version { child, .. } = self.node_mut(node) else {
                         unreachable!()
                     };
                     *child = Some(id);
                 }
-                None => {
-                    let mut suppressed = state.suppressed().to_vec();
-                    suppressed.extend(facts.iter().cloned());
-                    let state = f.fresh(window, suppressed);
-                    let id = self.alloc_version(Some(node), Arc::clone(&state));
-                    let Node::Version { child, .. } = self.node_mut(node) else {
-                        unreachable!()
-                    };
-                    *child = Some(id);
-                    created.push(state);
-                }
             },
             Node::Cg {
                 completion,
                 abandon,
-                cell,
                 ..
             } => {
-                let (completion, abandon, cell) = (*completion, *abandon, Arc::clone(cell));
+                let (completion, abandon) = (*completion, *abandon);
                 match completion {
                     // An unmaterialized branch needs no per-window work: its
                     // materialization clones the abandon side, which this
                     // attach extends below.
                     Some(c) if self.is_lazy(c) => {}
-                    Some(c) => self.attach_recursive(c, window, f, created),
-                    None if self.lazy => {
-                        // Defer the completion-side version the same way
-                        // cg_created defers the completion-side copy.
+                    Some(c) => self.attach_recursive(c, window),
+                    None => {
+                        // Defer the completion side the same way cg_created
+                        // does: a thunk over the abandon edge.
                         let id = self.alloc_lazy(Some(node));
                         let Node::Cg { completion, .. } = self.node_mut(node) else {
                             unreachable!()
                         };
                         *completion = Some(id);
                     }
-                    None if self.lazy_attach => {
-                        // A marker on a completion edge adds the group's
-                        // cell to the suppression at materialization time.
-                        let id = self.alloc_attach_marker(Some(node), vec![Arc::clone(window)]);
-                        let Node::Cg { completion, .. } = self.node_mut(node) else {
-                            unreachable!()
-                        };
-                        *completion = Some(id);
-                    }
-                    None => {
-                        let mut supp = self.suppression_above(node);
-                        supp.push(Arc::clone(&cell));
-                        let state = f.fresh(window, supp);
-                        let id = self.alloc_version(Some(node), Arc::clone(&state));
-                        let Node::Cg { completion, .. } = self.node_mut(node) else {
-                            unreachable!()
-                        };
-                        *completion = Some(id);
-                        created.push(state);
-                    }
                 }
                 match abandon {
-                    Some(a) => self.attach_recursive(a, window, f, created),
-                    None if self.lazy_attach => {
+                    Some(a) => self.attach_recursive(a, window),
+                    None => {
                         let id = self.alloc_attach_marker(Some(node), vec![Arc::clone(window)]);
                         let Node::Cg { abandon, .. } = self.node_mut(node) else {
                             unreachable!()
                         };
                         *abandon = Some(id);
-                    }
-                    None => {
-                        let supp = self.suppression_above(node);
-                        let state = f.fresh(window, supp);
-                        let id = self.alloc_version(Some(node), Arc::clone(&state));
-                        let Node::Cg { abandon, .. } = self.node_mut(node) else {
-                            unreachable!()
-                        };
-                        *abandon = Some(id);
-                        created.push(state);
                     }
                 }
             }
@@ -536,7 +447,11 @@ impl DependencyTree {
     /// Inserts a new consumption group under its creator version
     /// (paper Fig. 4, `consumptionGroupCreated`): the old dependent subtree
     /// becomes the abandon branch; a *modified copy* that suppresses the
-    /// group's events becomes the completion branch.
+    /// group's events becomes the completion branch. The copy is deferred:
+    /// the completion edge gets a single lazy thunk, so creation is O(1) in
+    /// tree size, and the copy is taken only if the
+    /// [top-k selection](Self::top_k) schedules the branch or the group
+    /// completes.
     ///
     /// The copy clones each dependent version's processing state — the
     /// paper's intent, since reprocessing every dependent window on each
@@ -556,17 +471,7 @@ impl DependencyTree {
     /// Returns `false` (no-op) if the creator version is no longer in the
     /// tree — its subtree was dropped by a concurrent resolution or
     /// rollback, making the operation stale.
-    ///
-    /// With lazy materialization on (the default), the completion branch is
-    /// a single lazy thunk instead of a copy: creation is O(1) in
-    /// tree size, and the clone happens only if the top-k selection
-    /// schedules the branch or the group completes.
-    pub fn cg_created(
-        &mut self,
-        creator: WvId,
-        cell: Arc<CgCell>,
-        f: &mut dyn VersionFactory,
-    ) -> bool {
+    pub fn cg_created(&mut self, creator: WvId, cell: Arc<CgCell>) -> bool {
         let Some(&vnode) = self.version_vertex.get(&creator.0) else {
             return false;
         };
@@ -575,20 +480,7 @@ impl DependencyTree {
         };
         let old_child = *child;
 
-        let copy = if self.lazy {
-            old_child.map(|_| self.alloc_lazy(None))
-        } else {
-            old_child.and_then(|c| {
-                let mut twins = HashMap::new();
-                let mut stray_facts = Vec::new();
-                let copied = self.copy_stateful(c, &cell, &mut twins, f, &mut stray_facts, &[]);
-                debug_assert!(
-                    stray_facts.is_empty(),
-                    "the copy root is a version vertex and collects its own facts"
-                );
-                copied
-            })
-        };
+        let copy = old_child.map(|_| self.alloc_lazy(None));
         let cg_node = self.alloc(Node::Cg {
             parent: Some(vnode),
             cell: Arc::clone(&cell),
@@ -684,7 +576,8 @@ impl DependencyTree {
     }
 
     /// Copies `src`'s subtree for the completion branch of `extra`
-    /// (see [`cg_created`](Self::cg_created)). Version state is cloned;
+    /// (see [`cg_created`](Self::cg_created) and
+    /// [`materialize`](Self::materialize)). Version state is cloned;
     /// open consumption-group vertices get twin cells (recorded in
     /// `twins`); vertices of groups that already resolved (their splice op
     /// still in flight) are pre-spliced in the copy. A completed-and-empty
@@ -897,20 +790,18 @@ impl DependencyTree {
     }
 
     /// Materializes an unmaterialized completion branch: clones the parent
-    /// CG's *current* abandon-side subtree — via the same
-    /// [`copy_stateful`](Self::copy_stateful) machinery `cg_created` uses
-    /// eagerly — with the parent's cell appended to every suppressed set,
-    /// and installs the clone as the completion edge. Returns the new edge
-    /// (`None` when the abandon side holds no versions: the branch
-    /// materializes to the same emptiness an eager copy would have
-    /// collapsed to).
+    /// CG's *current* abandon-side subtree via
+    /// [`copy_stateful`](Self::copy_stateful), with the parent's cell
+    /// appended to every suppressed set, and installs the clone as the
+    /// completion edge. Returns the new edge (`None` when the abandon side
+    /// holds no versions: the branch materializes to nothing).
     ///
     /// Cloning from the *live* abandon-side state (which may have advanced
     /// past, or even processed, events the group consumed) is sound: the
     /// clone's consistency bookkeeping restarts from scratch, so its first
     /// check — and at the latest the final validation before retirement —
     /// detects any overlap with the suppressed groups and rolls the clone
-    /// back, exactly as an eager copy handles a late group update.
+    /// back, exactly as any clone handles a late group update.
     fn materialize(&mut self, lazy: NodeId, f: &mut dyn VersionFactory) -> Option<NodeId> {
         let Node::Lazy { parent, .. } = self.node(lazy) else {
             unreachable!("materialize takes a lazy vertex")
@@ -1032,9 +923,9 @@ impl DependencyTree {
     /// one fresh version — suppression derived from the parent at *this*
     /// moment (a parent version's suppressed set plus recorded facts, or
     /// the suppression above a parent CG vertex plus its cell on the
-    /// completion edge), exactly what an eager attach would have
-    /// accumulated — splices the version into the marker's slot, and keeps
-    /// any remaining windows pending *below* the new version. One top-k
+    /// completion edge), exactly what the paper's per-leaf attach would
+    /// have accumulated — splices the version into the marker's slot, and
+    /// keeps any remaining windows pending *below* the new version. One top-k
     /// pop therefore creates exactly one version; the rest of the lineage
     /// stays thunked until it ranks itself. Returns the new version's
     /// vertex.
@@ -1045,7 +936,7 @@ impl DependencyTree {
     /// marker *is* a dependent subtree, so no fact can appear between the
     /// attach and the materialization on the same lineage — and the
     /// remaining windows re-derive from the freshly created version, whose
-    /// suppressed set is precisely their eager-attach context.
+    /// suppressed set is precisely their per-leaf attach context.
     fn materialize_attach(&mut self, marker: NodeId, f: &mut dyn VersionFactory) -> NodeId {
         let (parent, window, remaining) = match self.node_mut(marker) {
             Node::PendingAttach {
@@ -2027,38 +1918,25 @@ mod tests {
     struct Fixture {
         tree: DependencyTree,
         factory: TestFactory,
+        /// Schedule every lineage after each `open_window` / `create_cg`.
+        schedule_all: bool,
     }
 
     impl Fixture {
-        /// Eager fixture: the pre-lazy behavior most structural tests
-        /// specify (copies made at `cg_created` time).
+        /// The paper's view (Figs. 3 and 4): every lazy branch and pending
+        /// window is scheduled after each operation, so completion copies
+        /// and per-leaf window versions exist as soon as they are implied.
         fn new() -> Self {
-            Self::with_lazy(false)
+            Self::with_schedule(true)
         }
 
-        /// Lazy fixture: completion branches defer until scheduled
-        /// (window attach stays eager, pinning the PR-3 shapes).
+        /// The splitter's view: lazy branches and pending-attach markers
+        /// stay unscheduled until the test runs a selection.
         fn lazy() -> Self {
-            Self::with_lazy(true)
+            Self::with_schedule(false)
         }
 
-        /// All-lazy fixture: lazy completion branches *and* lazy window
-        /// attach.
-        fn all_lazy() -> Self {
-            Self::with_tree(DependencyTree::with_modes(true, true))
-        }
-
-        /// Eager completion-branch copies with lazy window attach (the
-        /// odd quadrant: markers must survive subtree copies).
-        fn eager_branches_lazy_attach() -> Self {
-            Self::with_tree(DependencyTree::with_modes(false, true))
-        }
-
-        fn with_lazy(lazy: bool) -> Self {
-            Self::with_tree(DependencyTree::with_lazy(lazy))
-        }
-
-        fn with_tree(tree: DependencyTree) -> Self {
+        fn with_schedule(schedule_all: bool) -> Self {
             let query = Arc::new(
                 Query::builder("t")
                     .pattern(Pattern::builder().one("A", Expr::truth()).build().unwrap())
@@ -2067,20 +1945,34 @@ mod tests {
                     .unwrap(),
             );
             Fixture {
-                tree,
+                tree: DependencyTree::new(),
                 factory: TestFactory {
                     query,
                     next_wv: 0,
                     next_cg: 0,
                 },
+                schedule_all,
             }
         }
 
+        /// Materializes every thunk in the tree.
+        fn schedule(&mut self) {
+            self.tree.top_k(4096, &|_| 0.5, &mut self.factory);
+        }
+
+        /// Opens window `id` and returns its live versions.
         fn open_window(&mut self, id: u64) -> Vec<Arc<VersionState>> {
             let window = Arc::new(WindowInfo::new(id, id * 2, id * 2, id * 2));
-            let out = self.tree.new_window(&window, &mut self.factory);
+            self.tree.new_window(&window, &mut self.factory);
+            if self.schedule_all {
+                self.schedule();
+            }
             self.tree.assert_invariants();
-            out
+            self.tree
+                .versions()
+                .into_iter()
+                .filter(|v| v.window().id == id)
+                .collect()
         }
 
         fn create_cg(&mut self, creator: &Arc<VersionState>) -> Arc<CgCell> {
@@ -2090,9 +1982,10 @@ mod tests {
                 1,
             ));
             self.factory.next_cg += 1;
-            assert!(self
-                .tree
-                .cg_created(creator.id(), Arc::clone(&cell), &mut self.factory));
+            assert!(self.tree.cg_created(creator.id(), Arc::clone(&cell)));
+            if self.schedule_all {
+                self.schedule();
+            }
             self.tree.assert_invariants();
             cell
         }
@@ -2476,20 +2369,25 @@ mod tests {
         assert!(w2.is_dropped());
         // An op from the dropped version arrives late: ignored.
         let cell = Arc::new(CgCell::new(CgId(99), 1, 1));
-        assert!(!f.tree.cg_created(w2.id(), cell, &mut f.factory));
+        assert!(!f.tree.cg_created(w2.id(), cell));
         f.tree.assert_invariants();
     }
 
     #[test]
     fn lazy_cg_creation_defers_the_clone() {
-        // Lazy mode: creating a group allocates a thunk instead of copying
-        // the dependent subtree — the version count does not move.
+        // Creating a group allocates a thunk instead of copying the
+        // dependent subtree — neither the scheduled w1 version nor the
+        // still-pending w2 is copied.
         let mut f = Fixture::lazy();
         let w1 = f.open_window(0).remove(0);
-        let _w2 = f.open_window(1);
+        let _ = f.open_window(1);
+        let _ = f.open_window(2);
+        f.tree.top_k(2, &|_c| 0.5, &mut f.factory);
         assert_eq!(f.tree.version_count(), 2);
+        assert_eq!(f.tree.pending_attach_windows(), 1);
         let _cg = f.create_cg(&w1);
-        assert_eq!(f.tree.version_count(), 2, "no eager copy");
+        assert_eq!(f.tree.version_count(), 2, "no copy of the w1 version");
+        assert_eq!(f.tree.pending_attach_count(), 1, "no copy of the marker");
         assert_eq!(f.tree.lazy_count(), 1);
         assert_eq!(f.tree.take_lazy_stats(), (0, 0));
     }
@@ -2498,7 +2396,9 @@ mod tests {
     fn lazy_branch_dropped_on_abandonment_costs_nothing() {
         let mut f = Fixture::lazy();
         let w1 = f.open_window(0).remove(0);
-        let w2_orig = f.open_window(1).remove(0);
+        let _ = f.open_window(1);
+        let w2_orig = f.tree.top_k(2, &|_c| 0.5, &mut f.factory).remove(1);
+        assert_eq!(w2_orig.window().id, 1);
         let cg = f.create_cg(&w1);
         cg.abandon();
         let dropped = f.tree.cg_resolved(cg.id(), false, &mut f.factory);
@@ -2524,7 +2424,9 @@ mod tests {
         // back), so the winner is rebuilt as fresh suppressing versions.
         let mut f = Fixture::lazy();
         let w1 = f.open_window(0).remove(0);
-        let w2_orig = f.open_window(1).remove(0);
+        let _ = f.open_window(1);
+        let w2_orig = f.tree.top_k(2, &|_c| 0.5, &mut f.factory).remove(1);
+        assert_eq!(w2_orig.window().id, 1);
         let cg = f.create_cg(&w1);
         cg.complete();
         let dropped = f.tree.cg_resolved(cg.id(), true, &mut f.factory);
@@ -2577,18 +2479,25 @@ mod tests {
     fn rollback_teardown_drops_unmaterialized_branches() {
         let mut f = Fixture::lazy();
         let w1 = f.open_window(0).remove(0);
-        let _w2 = f.open_window(1);
+        let _ = f.open_window(1);
+        f.schedule();
+        let _ = f.open_window(2);
         let _cg = f.create_cg(&w1);
         assert_eq!(f.tree.lazy_count(), 1);
-        let w2_windows = vec![Arc::new(WindowInfo::new(1, 2, 2, 2))];
+        assert_eq!(f.tree.pending_attach_windows(), 1);
+        let newer = vec![
+            Arc::new(WindowInfo::new(1, 2, 2, 2)),
+            Arc::new(WindowInfo::new(2, 4, 4, 4)),
+        ];
         let dropped = f
             .tree
-            .rollback_rebuild(w1.id(), &w2_windows, Vec::new(), &mut f.factory);
+            .rollback_rebuild(w1.id(), &newer, Vec::new(), &mut f.factory);
         f.tree.assert_invariants();
         assert_eq!(dropped, 1, "only the materialized dependent version");
         assert_eq!(f.tree.lazy_count(), 0);
+        assert_eq!(f.tree.pending_attach_count(), 0);
         assert_eq!(f.tree.take_lazy_stats(), (0, 1));
-        assert_eq!(f.tree.version_count(), 2, "w1 + rebuilt w2");
+        assert_eq!(f.tree.version_count(), 3, "w1 + rebuilt w2, w3");
     }
 
     #[test]
@@ -2650,15 +2559,15 @@ mod tests {
     #[test]
     fn attach_under_lazy_leaf_cg_defers_completion_version() {
         // A group created before any dependent window exists: a window
-        // opening later eagerly creates both edge versions; lazily it
-        // creates only the abandon-side version plus a thunk.
+        // opening later creates no version on either edge — a marker on
+        // the abandon edge and a thunk over it on the completion edge.
         let mut f = Fixture::lazy();
         let w1 = f.open_window(0).remove(0);
         let cg = f.create_cg(&w1);
         assert_eq!(f.tree.lazy_count(), 0, "no dependents: nothing to defer");
         let w2 = f.open_window(1);
-        assert_eq!(w2.len(), 1, "only the abandon-side version exists");
-        assert!(w2[0].suppressed().is_empty());
+        assert!(w2.is_empty(), "no version on either edge");
+        assert_eq!(f.tree.pending_attach_count(), 1);
         assert_eq!(f.tree.lazy_count(), 1);
         cg.complete();
         f.tree.cg_resolved(cg.id(), true, &mut f.factory);
@@ -2680,27 +2589,32 @@ mod tests {
         // copy (under the twin cell), not get cloned transitively.
         let mut f = Fixture::lazy();
         let w1 = f.open_window(0).remove(0);
-        let w2 = f.open_window(1).remove(0);
+        let _ = f.open_window(1);
+        let w2 = f.tree.top_k(2, &|_c| 0.5, &mut f.factory).remove(1);
+        assert_eq!(w2.window().id, 1);
         let cg1 = f.create_cg(&w1); // thunk over the w2 subtree
         let cg2 = f.create_cg(&w2); // leaf CG under the original w2 version
-                                    // Mirror the runtime: the owning version holds its group open, so
-                                    // a clone of it gets an independent twin.
+
+        // Mirror the runtime: the owning version holds its group open, so
+        // a clone of it gets an independent twin.
         w2.lock().open_cgs.push((MatchId(0), Arc::clone(&cg2)));
-        let _w3 = f.open_window(2); // attaches below cg2 (abandon + thunk)
+        let _ = f.open_window(2); // below cg2: marker + thunk over it
         assert_eq!(f.tree.lazy_count(), 2);
-        assert_eq!(f.tree.version_count(), 3);
+        assert_eq!(f.tree.pending_attach_count(), 1);
+        assert_eq!(f.tree.version_count(), 2);
 
         // The predictor ranks cg1's completion branch highest: the top-k
-        // selection clones it. The clone must carry w2', w3', a twin CG
-        // vertex for cg2 — and the twin's completion edge must again be a
-        // thunk, not a transitively forced clone.
+        // selection clones it. The clone must carry w2', a twin CG vertex
+        // for cg2 and a copy of the w3 marker — and the twin's completion
+        // edge must again be a thunk, not a transitively forced clone.
         let top = f.tree.top_k(2, &|_c| 0.95, &mut f.factory);
         f.tree.assert_invariants();
         assert_eq!(top.len(), 2);
-        assert_eq!(f.tree.version_count(), 5, "w1..w3 plus w2', w3'");
+        assert_eq!(f.tree.version_count(), 3, "w1, w2 plus w2'");
         assert_eq!(f.tree.lazy_count(), 2, "inner thunk re-created lazily");
+        assert_eq!(f.tree.pending_attach_count(), 2, "w3 copied as a marker");
         let (materialized, lazy_dropped) = f.tree.take_lazy_stats();
-        assert_eq!(materialized, 2, "w2' and w3'");
+        assert_eq!(materialized, 1, "w2' only");
         assert_eq!(lazy_dropped, 0);
         // The scheduled branch head is the w2 clone in the cg1-completed
         // world, holding an open twin in place of cg2.
@@ -2714,12 +2628,14 @@ mod tests {
         }
 
         // cg1 then completes: the already-materialized branch wins as-is,
-        // and the abandon side (with the original inner thunk) dies free.
+        // and the abandon side (with the original inner thunk and marker)
+        // dies free.
         cg1.complete();
         f.tree.cg_resolved(cg1.id(), true, &mut f.factory);
         f.tree.assert_invariants();
-        assert_eq!(f.tree.version_count(), 3);
+        assert_eq!(f.tree.version_count(), 2);
         assert_eq!(f.tree.lazy_count(), 1);
+        assert_eq!(f.tree.pending_attach_count(), 1);
         assert_eq!(f.tree.take_lazy_stats(), (0, 1));
         for v in f.tree.versions() {
             if v.window().id > 0 {
@@ -2729,10 +2645,10 @@ mod tests {
     }
 
     #[test]
-    fn lazy_attach_defers_leaf_versions() {
+    fn pending_attach_defers_leaf_versions() {
         // Opening windows records them on one marker per lineage; no
         // version state is created until the lineage is scheduled.
-        let mut f = Fixture::all_lazy();
+        let mut f = Fixture::lazy();
         let _w0 = f.open_window(0);
         assert_eq!(f.tree.version_count(), 1, "the root is always real");
         let w1 = f.open_window(1);
@@ -2747,7 +2663,7 @@ mod tests {
 
     #[test]
     fn pending_attach_materializes_one_version_per_schedule() {
-        let mut f = Fixture::all_lazy();
+        let mut f = Fixture::lazy();
         let _ = f.open_window(0);
         let _ = f.open_window(1);
         let _ = f.open_window(2);
@@ -2771,7 +2687,7 @@ mod tests {
 
     #[test]
     fn retire_materializes_pending_child() {
-        let mut f = Fixture::all_lazy();
+        let mut f = Fixture::lazy();
         let w0 = f.open_window(0).remove(0);
         let _ = f.open_window(1);
         assert_eq!(f.tree.version_count(), 1);
@@ -2788,7 +2704,7 @@ mod tests {
         // Windows pending under a CG's abandon side vanish for free when
         // the group completes and the completion branch (rebuilt fresh)
         // wins — and the rebuilt chain covers the pending windows.
-        let mut f = Fixture::all_lazy();
+        let mut f = Fixture::lazy();
         let w1 = f.open_window(0).remove(0);
         let cg = f.create_cg(&w1);
         let _ = f.open_window(1);
@@ -2814,7 +2730,7 @@ mod tests {
     fn pending_attach_abandonment_keeps_windows_pending() {
         // An abandoned group splices its abandon side — including a
         // marker — back up without materializing anything.
-        let mut f = Fixture::all_lazy();
+        let mut f = Fixture::lazy();
         let w1 = f.open_window(0).remove(0);
         let cg = f.create_cg(&w1);
         let _ = f.open_window(1);
@@ -2831,15 +2747,18 @@ mod tests {
 
     #[test]
     fn completion_edge_marker_materializes_with_cell_suppression() {
-        // Eager branch copies + lazy attach: a window attaching under a
-        // leaf CG vertex defers on both edges; the completion-edge marker
-        // must pick up the group's cell when it materializes.
-        let mut f = Fixture::eager_branches_lazy_attach();
+        // A window attaching under a leaf CG vertex leaves a marker on the
+        // abandon edge and a thunk over it on the completion edge.
+        // Materializing the thunk copies the marker onto the completion
+        // edge, and that marker must pick up the group's cell when it
+        // materializes in turn.
+        let mut f = Fixture::lazy();
         let w1 = f.open_window(0).remove(0);
         let cg = f.create_cg(&w1);
         let created = f.open_window(1);
         assert!(created.is_empty(), "both edges deferred");
-        assert_eq!(f.tree.pending_attach_count(), 2);
+        assert_eq!(f.tree.pending_attach_count(), 1);
+        assert_eq!(f.tree.lazy_count(), 1);
         let top = f.tree.top_k(3, &|_c| 0.5, &mut f.factory);
         f.tree.assert_invariants();
         assert_eq!(top.len(), 3);
@@ -2852,37 +2771,8 @@ mod tests {
     }
 
     #[test]
-    fn eager_branch_copy_carries_markers() {
-        // Eager branches + lazy attach: cg_created deep-copies the
-        // dependent subtree — a pending-attach marker in it must copy as
-        // a marker, not force materialization.
-        let mut f = Fixture::eager_branches_lazy_attach();
-        let w1 = f.open_window(0).remove(0);
-        let _ = f.open_window(1);
-        assert_eq!(f.tree.pending_attach_count(), 1);
-        let cg = f.create_cg(&w1);
-        f.tree.assert_invariants();
-        assert_eq!(
-            f.tree.pending_attach_count(),
-            2,
-            "the completion copy carries its own marker"
-        );
-        assert_eq!(f.tree.version_count(), 1, "no version materialized");
-        // Scheduling deep enough materializes both sides; exactly one
-        // suppresses the group.
-        let top = f.tree.top_k(3, &|_c| 0.5, &mut f.factory);
-        f.tree.assert_invariants();
-        assert_eq!(top.len(), 3);
-        let suppressing = top
-            .iter()
-            .filter(|v| v.suppressed().iter().any(|c| c.id() == cg.id()))
-            .count();
-        assert_eq!(suppressing, 1);
-    }
-
-    #[test]
     fn rollback_teardown_drops_pending_windows() {
-        let mut f = Fixture::all_lazy();
+        let mut f = Fixture::lazy();
         let w1 = f.open_window(0).remove(0);
         let _ = f.open_window(1);
         let _ = f.open_window(2);

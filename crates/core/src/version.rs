@@ -339,12 +339,11 @@ impl VersionState {
     /// version with a different suppressed set (paper §3.1: the "modified
     /// copy" of a dependent version when a consumption group is created).
     ///
-    /// This is both the eager copy at `cg_created` time and the clone
-    /// behind *lazy branch materialization*
-    /// (see [`DependencyTree`](crate::tree::DependencyTree)): in the lazy
-    /// case the source has usually advanced past the group's creation
-    /// point — possibly even processing events the group consumed. That is
-    /// safe for the same reason eager copies survive late group updates:
+    /// This is the clone behind *lazy branch materialization*
+    /// (see [`DependencyTree`](crate::tree::DependencyTree)): the source
+    /// has usually advanced past the group's creation point — possibly
+    /// even processing events the group consumed. That is safe for the
+    /// same reason any copy survives late group updates:
     /// the clone's consistency bookkeeping restarts from scratch (below),
     /// so the first periodic check — and at the latest the final
     /// validation before retirement — detects the overlap and rolls the
