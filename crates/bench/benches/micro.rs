@@ -165,6 +165,23 @@ fn bench_codec(c: &mut Criterion) {
             black_box(n)
         })
     });
+    // A connection's shape: a larger stream arriving in 64 KiB reads, each
+    // drained of its complete frames before the next read lands.
+    let events: Vec<_> = NyseGenerator::new(NyseConfig::small(10_000, 3), &mut schema).collect();
+    let bytes = codec::encode_all(&events);
+    c.bench_function("codec_decode_64k_reads", |b| {
+        b.iter(|| {
+            let mut dec = codec::Decoder::new();
+            let mut n = 0;
+            for read in bytes.chunks(64 * 1024) {
+                dec.extend(read);
+                while let Ok(Some(_)) = dec.next_event() {
+                    n += 1;
+                }
+            }
+            black_box(n)
+        })
+    });
 }
 
 fn bench_elastic(c: &mut Criterion) {

@@ -386,9 +386,9 @@ impl Decoder {
         if self.buf.len() < 4 + len {
             return Ok(None);
         }
-        self.buf.advance(4);
-        let mut frame = self.buf.split_to(len);
-        decode_frame(&mut frame).map(|ev| Some(RawFrame::Event(ev)))
+        let event = decode_frame(&self.buf[4..4 + len]);
+        self.buf.advance(4 + len);
+        event.map(|ev| Some(RawFrame::Event(ev)))
     }
 }
 
@@ -403,8 +403,10 @@ enum RawFrame {
     Bye,
 }
 
-fn decode_frame(buf: &mut BytesMut) -> Result<Event, DecodeError> {
-    fn need(buf: &BytesMut, n: usize) -> Result<(), DecodeError> {
+/// Parses one event frame's body (the bytes after its length prefix),
+/// borrowed from the decoder's buffer.
+fn decode_frame(mut buf: &[u8]) -> Result<Event, DecodeError> {
+    fn need(buf: &[u8], n: usize) -> Result<(), DecodeError> {
         if buf.len() < n {
             Err(DecodeError::Truncated)
         } else {
@@ -442,8 +444,8 @@ fn decode_frame(buf: &mut BytesMut) -> Result<Event, DecodeError> {
                 need(buf, 4)?;
                 let len = buf.get_u32_le() as usize;
                 need(buf, len)?;
-                let raw = buf.split_to(len);
-                let s = std::str::from_utf8(&raw).map_err(|_| DecodeError::BadUtf8)?;
+                let s = std::str::from_utf8(&buf[..len]).map_err(|_| DecodeError::BadUtf8)?;
+                buf.advance(len);
                 Value::Str(Arc::from(s))
             }
             other => return Err(DecodeError::BadTag(other)),
@@ -587,6 +589,36 @@ mod tests {
         let mut dec = Decoder::new();
         dec.extend(&buf);
         assert_eq!(dec.next_event(), Err(DecodeError::BadTag(99)));
+    }
+
+    #[test]
+    fn short_frames_and_bad_utf8_are_rejected() {
+        // A length prefix shorter than the fixed header.
+        let mut dec = Decoder::new();
+        dec.extend(&[4, 0, 0, 0, 1, 2, 3, 4]);
+        assert_eq!(dec.next_event(), Err(DecodeError::Truncated));
+        assert_eq!(dec.buffered(), 0);
+
+        // A string whose declared length runs past its frame: the decoder
+        // must not read into the next frame's bytes.
+        let ev = Event::builder(EventType::new(0))
+            .attr(AttrKey::new(0), Value::from("ab"))
+            .build();
+        let mut buf = BytesMut::new();
+        encode(&ev, &mut buf);
+        encode(&ev, &mut buf);
+        // 4 len + 20 header + 2 key + 1 tag = offset 27 of the u32 length.
+        buf[27] = 3;
+        let mut dec = Decoder::new();
+        dec.extend(&buf);
+        assert_eq!(dec.next_event(), Err(DecodeError::Truncated));
+
+        let mut buf = BytesMut::new();
+        encode(&ev, &mut buf);
+        buf[31] = 0xff; // first string byte
+        let mut dec = Decoder::new();
+        dec.extend(&buf);
+        assert_eq!(dec.next_event(), Err(DecodeError::BadUtf8));
     }
 
     #[test]

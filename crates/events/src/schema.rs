@@ -94,18 +94,20 @@ impl Schema {
     ///
     /// # Panics
     ///
-    /// Panics if more than `u16::MAX` attributes are interned.
+    /// Panics if more than `u16::MAX + 1` attribute names are interned
+    /// (keys are `u16`).
     pub fn attr(&mut self, name: &str) -> AttrKey {
-        AttrKey::new(self.attrs.intern(name) as u16)
+        AttrKey::new(u16::try_from(self.attrs.intern(name)).expect("attribute key overflow"))
     }
 
     /// Interns an event-type name.
     ///
     /// # Panics
     ///
-    /// Panics if more than `u16::MAX` event types are interned.
+    /// Panics if more than `u16::MAX + 1` event-type names are interned
+    /// (types are `u16`).
     pub fn event_type(&mut self, name: &str) -> EventType {
-        EventType::new(self.event_types.intern(name) as u16)
+        EventType::new(u16::try_from(self.event_types.intern(name)).expect("event type overflow"))
     }
 
     /// Interns a symbol name (e.g. a stock ticker).
@@ -115,14 +117,16 @@ impl Schema {
 
     /// Looks up an attribute key without interning.
     pub fn lookup_attr(&self, name: &str) -> Option<AttrKey> {
-        self.attrs.lookup(name).map(|i| AttrKey::new(i as u16))
+        self.attrs
+            .lookup(name)
+            .map(|i| AttrKey::new(u16::try_from(i).expect("attribute key overflow")))
     }
 
     /// Looks up an event type without interning.
     pub fn lookup_event_type(&self, name: &str) -> Option<EventType> {
         self.event_types
             .lookup(name)
-            .map(|i| EventType::new(i as u16))
+            .map(|i| EventType::new(u16::try_from(i).expect("event type overflow")))
     }
 
     /// Looks up a symbol without interning.
@@ -236,6 +240,53 @@ mod tests {
             assert_eq!(s.symbol_name(id), Some(name.as_str()));
         }
         assert_eq!(s.symbol_count(), 100);
+    }
+
+    /// A schema holding every `u16` attribute key and event type, named
+    /// `a0..` and `t0..`.
+    fn full_schema() -> Schema {
+        let mut s = Schema::new();
+        for i in 0..=u16::MAX {
+            s.attr(&format!("a{i}"));
+            s.event_type(&format!("t{i}"));
+        }
+        s
+    }
+
+    #[test]
+    fn the_last_u16_id_is_usable() {
+        let mut s = full_schema();
+        assert_eq!(s.attr("a65535"), AttrKey::new(u16::MAX));
+        assert_eq!(s.lookup_attr("a65535"), Some(AttrKey::new(u16::MAX)));
+        assert_eq!(s.event_type("t65535"), EventType::new(u16::MAX));
+        assert_eq!(
+            s.lookup_event_type("t65535"),
+            Some(EventType::new(u16::MAX))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "attribute key overflow")]
+    fn attr_past_u16_max_panics() {
+        full_schema().attr("one too many");
+    }
+
+    #[test]
+    #[should_panic(expected = "event type overflow")]
+    fn event_type_past_u16_max_panics() {
+        full_schema().event_type("one too many");
+    }
+
+    #[test]
+    fn lookups_past_u16_max_panic() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut s = full_schema();
+        // The failed interning still records the name, so its lookup must
+        // not wrap to id 0 either.
+        assert!(catch_unwind(AssertUnwindSafe(|| s.attr("extra"))).is_err());
+        assert!(catch_unwind(AssertUnwindSafe(|| s.lookup_attr("extra"))).is_err());
+        assert!(catch_unwind(AssertUnwindSafe(|| s.event_type("extra"))).is_err());
+        assert!(catch_unwind(AssertUnwindSafe(|| s.lookup_event_type("extra"))).is_err());
     }
 
     #[test]
