@@ -26,10 +26,7 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use spectre_baselines::{run_sequential, run_waitful, TrexEngine};
-use spectre_core::{
-    run_simulated, run_threaded, MetricsSnapshot, SpectreConfig, SpectreEngine, TenantId,
-    TenantQuota,
-};
+use spectre_core::{MetricsSnapshot, SpectreConfig, SpectreEngine, TenantId, TenantQuota};
 use spectre_datasets::{bounded_shuffle, NyseConfig, NyseGenerator};
 use spectre_events::{Event, Schema};
 use spectre_query::queries::{self, Direction};
@@ -80,9 +77,12 @@ fn bench_engines(c: &mut Criterion) {
     for k in [1usize, 4, 16] {
         group.bench_function(format!("spectre_sim_k{k}"), |b| {
             b.iter(|| {
-                black_box(
-                    run_simulated(&query, events.clone(), &SpectreConfig::with_instances(k)).rounds,
-                )
+                let report = SpectreEngine::builder(&query)
+                    .config(SpectreConfig::with_instances(k))
+                    .simulated()
+                    .build()
+                    .run(events.clone());
+                black_box(report.rounds)
             })
         });
     }
@@ -117,12 +117,12 @@ fn datapath_query(schema: &mut Schema) -> Arc<Query> {
 }
 
 /// Paper-scale (default 1 M events, `SPECTRE_BENCH_EVENTS` to override)
-/// data-path-bound fixture, materialized as a `Vec` for the legacy-path
-/// cases.
+/// data-path-bound fixture, materialized as a `Vec` for the cases that
+/// replay one stream per iteration.
 fn threaded_fixture() -> (Arc<Query>, Vec<Event>) {
     let mut schema = Schema::new();
     let events: Vec<_> = NyseGenerator::new(
-        paper_nyse_config(spectre_bench::threaded_bench_events()),
+        paper_nyse_config(spectre_bench::bench_events()),
         &mut schema,
     )
     .collect();
@@ -141,22 +141,24 @@ fn bench_threaded(c: &mut Criterion) {
     group.bench_function("unbatched_1shard_k2", |b| {
         b.iter(|| {
             let config = SpectreConfig::with_batching(2, 1, 1);
-            black_box(
-                run_threaded(&query, events.clone(), &config)
-                    .complex_events
-                    .len(),
-            )
+            let report = SpectreEngine::builder(&query)
+                .config(config)
+                .threaded()
+                .build()
+                .run(events.clone());
+            black_box(report.complex_events.len())
         })
     });
     // … versus the default batched hand-off + sharded window store.
     group.bench_function("batched64_8shards_k2", |b| {
         b.iter(|| {
             let config = SpectreConfig::with_batching(2, 64, 8);
-            black_box(
-                run_threaded(&query, events.clone(), &config)
-                    .complex_events
-                    .len(),
-            )
+            let report = SpectreEngine::builder(&query)
+                .config(config)
+                .threaded()
+                .build()
+                .run(events.clone());
+            black_box(report.complex_events.len())
         })
     });
     group.finish();
@@ -173,7 +175,7 @@ fn consumption_fixture() -> (Arc<Query>, Vec<Event>) {
     let config = NyseConfig {
         symbols: 300,
         leaders: 16,
-        events: spectre_bench::threaded_bench_events(),
+        events: spectre_bench::bench_events(),
         seed: 42,
         ..NyseConfig::default()
     };
@@ -210,7 +212,11 @@ fn bench_consumption(c: &mut Criterion) {
     let config = SpectreConfig::with_batching(2, 64, 8);
     group.bench_function(name, |b| {
         b.iter(|| {
-            let report = run_threaded(&query, events.clone(), &config);
+            let report = SpectreEngine::builder(&query)
+                .config(config.clone())
+                .threaded()
+                .build()
+                .run(events.clone());
             let out = report.complex_events.len();
             stash_case(name, report.metrics, out);
             black_box(out)
@@ -228,7 +234,7 @@ fn bench_streaming(c: &mut Criterion) {
     if !enabled("streaming") {
         return;
     }
-    let events_n = spectre_bench::threaded_bench_events();
+    let events_n = spectre_bench::bench_events();
     let mut schema = Schema::new();
     let query = datapath_query(&mut schema);
     let mut group = c.benchmark_group(format!("threaded_streaming_{}k_events", events_n / 1000));
@@ -364,7 +370,11 @@ fn bench_scaling(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let config = SpectreConfig::with_batching(k, 64, 8);
-                let report = run_threaded(&query, events.clone(), &config);
+                let report = SpectreEngine::builder(&query)
+                    .config(config)
+                    .threaded()
+                    .build()
+                    .run(events.clone());
                 let out = report.complex_events.len();
                 match reference.as_ref() {
                     Some(expected) => assert_eq!(
@@ -421,7 +431,7 @@ fn bench_tenancy(c: &mut Criterion) {
     if !enabled("tenancy") {
         return;
     }
-    let events_n = spectre_bench::threaded_bench_events();
+    let events_n = spectre_bench::bench_events();
     let mut schema = Schema::new();
     let events: Vec<_> = NyseGenerator::new(paper_nyse_config(events_n), &mut schema).collect();
     let light = datapath_query(&mut schema);
@@ -439,7 +449,11 @@ fn bench_tenancy(c: &mut Criterion) {
             b.iter(|| {
                 let config = SpectreConfig::with_batching(4, 64, 8);
                 let start = Instant::now();
-                let report = run_threaded(&light, events.clone(), &config);
+                let report = SpectreEngine::builder(&light)
+                    .config(config)
+                    .threaded()
+                    .build()
+                    .run(events.clone());
                 *solo = solo.min(start.elapsed().as_secs_f64());
                 let out = report.complex_events.len();
                 stash_case("tenancy_light_solo_k4", report.metrics, out);
@@ -523,7 +537,7 @@ fn bench_server(c: &mut Criterion) {
     }
     let mut schema = Schema::new();
     let events: Vec<Event> = NyseGenerator::new(
-        paper_nyse_config(spectre_bench::threaded_bench_events()),
+        paper_nyse_config(spectre_bench::bench_events()),
         &mut schema,
     )
     .collect();
@@ -580,7 +594,7 @@ fn emit_summary(_c: &mut Criterion) {
     let Ok(path) = std::env::var("SPECTRE_BENCH_SUMMARY") else {
         return;
     };
-    let events_n = spectre_bench::threaded_bench_events();
+    let events_n = spectre_bench::bench_events();
     let mut cases: Vec<(String, String)> = Vec::new();
     for summary in criterion::take_summaries() {
         let Some((group, name)) = summary.id.split_once('/') else {

@@ -14,20 +14,14 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use spectre_bench::{bench_events, nyse_stream, print_row};
+use spectre_bench::{bench_events, env_knob, nyse_stream, print_row};
 use spectre_core::{SpectreConfig, SpectreEngine};
 use spectre_query::queries;
 
 fn main() {
-    let ws: u64 = std::env::var("SPECTRE_BENCH_WS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(800);
+    let ws: u64 = env_knob("SPECTRE_BENCH_WS", 800);
     let events_n = bench_events();
-    let k: usize = std::env::var("SPECTRE_BENCH_K")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
+    let k: usize = env_knob("SPECTRE_BENCH_K", 16);
 
     println!("# §3.3 ablation: rollback-to-start vs checkpoint recovery");
     println!("# NYSE, ws = {ws}, k = {k}, events = {events_n}");

@@ -13,16 +13,13 @@
 use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
-use spectre_bench::{bench_events, nyse_stream, print_row, sim_throughput};
+use spectre_bench::{bench_events, env_knob, nyse_stream, print_row, sim_throughput};
 use spectre_core::elastic::{recommend_for, speculative_efficiency, ElasticConfig};
 use spectre_core::SpectreConfig;
 use spectre_query::queries::{self, Direction};
 
 fn main() {
-    let ws: u64 = std::env::var("SPECTRE_BENCH_WS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(800);
+    let ws: u64 = env_knob("SPECTRE_BENCH_WS", 800);
     let events_n = bench_events();
     let ratios = [0.005, 0.02, 0.08, 0.16, 0.32];
     let ks = [1usize, 2, 4, 8, 16, 32];
@@ -59,12 +56,20 @@ fn main() {
         for &k in &ks {
             thr.insert(
                 k,
-                sim_throughput(&query, &events, &SpectreConfig::with_instances(k)),
+                sim_throughput(
+                    &query,
+                    events.iter().cloned(),
+                    &SpectreConfig::with_instances(k),
+                ),
             );
         }
         let rec = recommend_for(&config, gt);
         // Measure the recommendation (it may fall between swept ks).
-        let thr_rec = sim_throughput(&query, &events, &SpectreConfig::with_instances(rec));
+        let thr_rec = sim_throughput(
+            &query,
+            events.iter().cloned(),
+            &SpectreConfig::with_instances(rec),
+        );
         let (&best_k, &thr_best) = thr
             .iter()
             .max_by(|a, b| a.1.total_cmp(b.1))

@@ -10,18 +10,15 @@ use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
 use spectre_bench::{
-    bench_events, bench_ks, bench_repeats, nyse_source, nyse_stream, print_row,
-    sim_throughput_streamed, Candlestick,
+    bench_events, bench_ks, bench_repeats, env_knob, nyse_source, nyse_stream, print_row,
+    sim_throughput, Candlestick,
 };
 use spectre_core::SpectreConfig;
 use spectre_events::Schema;
 use spectre_query::queries::{self, Direction};
 
 fn main() {
-    let ws: u64 = std::env::var("SPECTRE_BENCH_WS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(800);
+    let ws: u64 = env_knob("SPECTRE_BENCH_WS", 800);
     let ratios = [0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.32];
     let ks = bench_ks();
     let repeats = bench_repeats();
@@ -57,7 +54,7 @@ fn main() {
                 let source = nyse_source(events_n, 42 + rep as u64, &mut schema);
                 let query = Arc::new(queries::q1(&mut schema, q, ws, Direction::Rising));
                 let config = SpectreConfig::with_instances(k);
-                samples.push(sim_throughput_streamed(&query, source, &config));
+                samples.push(sim_throughput(&query, source, &config));
             }
             cells.push(Candlestick::of(&samples).to_string());
         }

@@ -13,8 +13,8 @@ use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
 use spectre_bench::{
-    bench_events, bench_ks, bench_repeats, nyse_source, nyse_stream, print_row,
-    sim_throughput_streamed, Candlestick,
+    bench_events, bench_ks, bench_repeats, env_knob, nyse_source, nyse_stream, print_row,
+    sim_throughput, Candlestick,
 };
 use spectre_core::SpectreConfig;
 use spectre_events::Schema;
@@ -27,10 +27,7 @@ fn quantile(sorted: &[f64], p: f64) -> f64 {
 }
 
 fn main() {
-    let ws: u64 = std::env::var("SPECTRE_BENCH_WS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(800);
+    let ws: u64 = env_knob("SPECTRE_BENCH_WS", 800);
     let slide = (ws / 8).max(1);
     let ks = bench_ks();
     let repeats = bench_repeats();
@@ -147,7 +144,7 @@ fn main() {
                 let mut schema = Schema::new();
                 let source = nyse_source(events_n, 42 + rep as u64, &mut schema);
                 let query = Arc::new(queries::q2(&mut schema, lower, upper, ws, slide));
-                samples.push(sim_throughput_streamed(
+                samples.push(sim_throughput(
                     &query,
                     source,
                     &SpectreConfig::with_instances(k),

@@ -9,17 +9,15 @@
 use std::sync::Arc;
 
 use spectre_bench::{
-    bench_events, bench_ks, bench_repeats, nyse_source, print_row, sim_report_streamed,
+    bench_events, bench_ks, bench_repeats, env_knob, nyse_source, print_row,
+    scheduling_cycles_per_sec, sim_report,
 };
 use spectre_core::SpectreConfig;
 use spectre_events::Schema;
 use spectre_query::queries::{self, Direction};
 
 fn main() {
-    let ws: u64 = std::env::var("SPECTRE_BENCH_WS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(800);
+    let ws: u64 = env_knob("SPECTRE_BENCH_WS", 800);
     let q = ((0.01 * ws as f64) as usize).max(1); // paper: q = 80 at ws = 8000
     let events_n = bench_events();
     let repeats = bench_repeats();
@@ -44,12 +42,12 @@ fn main() {
             let mut schema = Schema::new();
             let source = nyse_source(events_n, 42 + rep as u64, &mut schema);
             let query = Arc::new(queries::q1(&mut schema, q, ws, Direction::Rising));
-            let report = sim_report_streamed(&query, source, &SpectreConfig::with_instances(k));
-            let rate = report.scheduling_cycles_per_sec();
+            let report = sim_report(&query, source, &SpectreConfig::with_instances(k));
+            let rate = scheduling_cycles_per_sec(&report);
             if rate > best {
                 best = rate;
                 cycles = report.metrics.sched_cycles;
-                wall_ms = report.splitter_wall.as_secs_f64() * 1e3;
+                wall_ms = report.splitter_wall.expect("simulated").as_secs_f64() * 1e3;
             }
         }
         print_row(

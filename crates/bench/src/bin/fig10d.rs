@@ -8,14 +8,11 @@
 use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
-use spectre_bench::{bench_events, nyse_stream, print_row};
+use spectre_bench::{bench_events, env_knob, nyse_stream, print_row};
 use spectre_query::queries::{self, Direction};
 
 fn main() {
-    let ws: u64 = std::env::var("SPECTRE_BENCH_WS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(800);
+    let ws: u64 = env_knob("SPECTRE_BENCH_WS", 800);
     let events_n = bench_events();
     println!("# Figure 10(d): Q1 ground-truth completion probability vs ratio");
     println!("# ws = {ws}, events = {events_n}");

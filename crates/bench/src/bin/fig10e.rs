@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
-use spectre_bench::{bench_events, nyse_stream, print_row};
+use spectre_bench::{bench_events, env_knob, nyse_stream, print_row};
 use spectre_query::queries::{self, StockVocab};
 
 fn quantile(sorted: &[f64], p: f64) -> f64 {
@@ -14,10 +14,7 @@ fn quantile(sorted: &[f64], p: f64) -> f64 {
 }
 
 fn main() {
-    let ws: u64 = std::env::var("SPECTRE_BENCH_WS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(800);
+    let ws: u64 = env_knob("SPECTRE_BENCH_WS", 800);
     let slide = (ws / 8).max(1);
     let events_n = bench_events();
 

@@ -11,23 +11,17 @@ use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
 use spectre_bench::{
-    bench_events, bench_repeats, print_row, rand_source, rand_stream, sim_report_streamed,
-    Candlestick, PER_INSTANCE_EVENT_RATE,
+    bench_events, bench_repeats, calibrated_throughput, env_knob, print_row, rand_source,
+    rand_stream, sim_report, Candlestick,
 };
 use spectre_core::{PredictorKind, SpectreConfig};
 use spectre_events::Schema;
 use spectre_query::queries;
 
 fn main() {
-    let ws: u64 = std::env::var("SPECTRE_BENCH_WS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000);
+    let ws: u64 = env_knob("SPECTRE_BENCH_WS", 1000);
     let slide = ws / 10;
-    let k: usize = std::env::var("SPECTRE_BENCH_K")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32);
+    let k: usize = env_knob("SPECTRE_BENCH_K", 32);
     let events_n = bench_events();
     let repeats = bench_repeats();
 
@@ -91,8 +85,8 @@ fn main() {
                     predictor: predictor.clone(),
                     ..Default::default()
                 };
-                let report = sim_report_streamed(&query, source, &config);
-                samples.push(report.throughput(PER_INSTANCE_EVENT_RATE));
+                let report = sim_report(&query, source, &config);
+                samples.push(calibrated_throughput(&report));
                 refreshes = refreshes.max(report.metrics.predictor_refreshes);
                 refresh_nanos = refresh_nanos.max(report.metrics.predictor_refresh_nanos);
             }

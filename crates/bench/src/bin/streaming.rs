@@ -15,16 +15,14 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use spectre_bench::env_knob;
 use spectre_core::{SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator};
 use spectre_events::Schema;
 use spectre_query::queries::{self, Direction};
 
 fn main() {
-    let events_n: usize = std::env::var("SPECTRE_BENCH_EVENTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4_000_000);
+    let events_n: usize = env_knob("SPECTRE_BENCH_EVENTS", 4_000_000);
     let mut schema = Schema::new();
     // Q1 *with* its consumption policy, in the high-ratio regime of the
     // consumption bench (q = 110, ws = 200): speculation — and therefore

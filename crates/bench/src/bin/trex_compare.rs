@@ -11,15 +11,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use spectre_baselines::{run_sequential, TrexEngine};
-use spectre_bench::{bench_events, nyse_stream, print_row, sim_report, PER_INSTANCE_EVENT_RATE};
+use spectre_bench::{
+    bench_events, calibrated_throughput, env_knob, nyse_stream, print_row, sim_report,
+};
 use spectre_core::{SpectreConfig, SpectreEngine};
 use spectre_query::queries::{self, Direction};
 
 fn main() {
-    let ws: u64 = std::env::var("SPECTRE_BENCH_WS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(800);
+    let ws: u64 = env_knob("SPECTRE_BENCH_WS", 800);
     let q = ((0.01 * ws as f64) as usize).max(1);
     let events_n = bench_events();
     let (mut schema, events) = nyse_stream(events_n, 42);
@@ -79,11 +78,15 @@ fn main() {
 
     // SPECTRE simulated multi-core scaling (calibrated).
     for k in [1usize, 8, 32] {
-        let report = sim_report(&query, &events, &SpectreConfig::with_instances(k));
+        let report = sim_report(
+            &query,
+            events.iter().cloned(),
+            &SpectreConfig::with_instances(k),
+        );
         print_row(
             &[
                 format!("SPECTRE simulated k={k} (calibrated)"),
-                format!("{:.0}", report.throughput(PER_INSTANCE_EVENT_RATE)),
+                format!("{:.0}", calibrated_throughput(&report)),
                 format!("{}", report.complex_events.len()),
             ],
             &widths,

@@ -15,11 +15,19 @@
 //! * `SPECTRE_BENCH_REPEATS` — repetitions per configuration (default 3;
 //!   paper: 10),
 //! * `SPECTRE_BENCH_KS` — comma-separated operator-instance counts
-//!   (default `1,2,4,8,16,32`).
+//!   (default `1,2,4,8,16,32`),
+//! * `SPECTRE_BENCH_WS` / `SPECTRE_BENCH_K` — window size and instance
+//!   count of the single-configuration binaries (defaults per binary).
+//!
+//! A value that does not parse is a hard error naming the variable, never
+//! a silent fall-back to the default (see [`env_knob`]).
 
+use std::fmt::Display;
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 use std::sync::Arc;
 
-use spectre_core::{run_simulated, SimReport, SpectreConfig, SpectreEngine};
+use spectre_core::{Report, SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator, RandConfig, RandGenerator};
 use spectre_events::{Event, Schema, SymbolId};
 use spectre_query::Query;
@@ -30,50 +38,79 @@ use spectre_query::Query;
 /// their ratios.
 pub const PER_INSTANCE_EVENT_RATE: f64 = 10_800.0;
 
-fn events_from_env(default: usize) -> usize {
-    std::env::var("SPECTRE_BENCH_EVENTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Parses `value`, the setting of the environment knob `var`. Leading
+/// and trailing whitespace is ignored.
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, if `value` does not parse
+/// as a `T`.
+pub fn parse_knob<T>(var: &str, value: &str) -> T
+where
+    T: FromStr,
+    T::Err: Display,
+{
+    value
+        .trim()
+        .parse()
+        .unwrap_or_else(|e| panic!("invalid {var}={value:?}: {e}"))
 }
 
-/// Reads the benchmark stream length for the simulator-driven figure
-/// binaries. The default matches the threaded bench at 1 M events — the
-/// consumption-heavy figure workloads sustain it since group creation
-/// went O(1) (lazy dependency tree); use `SPECTRE_BENCH_EVENTS` to scale
-/// further toward the paper's 24 M.
+/// Reads the environment knob `var`, or `default` if it is unset.
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, if it is set to something
+/// that does not parse as a `T` (see [`parse_knob`]).
+pub fn env_knob<T>(var: &str, default: T) -> T
+where
+    T: FromStr,
+    T::Err: Display,
+{
+    match std::env::var(var) {
+        Ok(value) => parse_knob(var, &value),
+        Err(std::env::VarError::NotPresent) => default,
+        Err(e) => panic!("invalid {var}: {e}"),
+    }
+}
+
+/// Parses an operator-instance sweep such as `"1, 2,4"`: a comma-separated
+/// list of positive counts.
+///
+/// # Panics
+///
+/// Panics, naming `SPECTRE_BENCH_KS` and the offending entry, if any entry
+/// is not a positive integer.
+pub fn parse_ks(value: &str) -> Vec<usize> {
+    value
+        .split(',')
+        .map(|k| parse_knob::<NonZeroUsize>("SPECTRE_BENCH_KS", k).get())
+        .collect()
+}
+
+/// Reads the benchmark stream length (`SPECTRE_BENCH_EVENTS`) for the
+/// figure binaries and the threaded end-to-end bench. The default is 1 M
+/// events — the consumption-heavy figure workloads sustain it since group
+/// creation went O(1) (lazy dependency tree); raise it to scale further
+/// toward the paper's 24 M.
 pub fn bench_events() -> usize {
-    events_from_env(1_000_000)
+    env_knob("SPECTRE_BENCH_EVENTS", 1_000_000)
 }
 
-/// Reads the stream length for the threaded end-to-end bench (same
-/// environment variable, paper-scale default: the data-path-bound fixture
-/// sustains it in seconds).
-pub fn threaded_bench_events() -> usize {
-    events_from_env(1_000_000)
-}
-
-/// Reads the per-configuration repetition count.
+/// Reads the per-configuration repetition count (`SPECTRE_BENCH_REPEATS`,
+/// at least 1).
 pub fn bench_repeats() -> usize {
-    std::env::var("SPECTRE_BENCH_REPEATS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-        .max(1)
+    env_knob(
+        "SPECTRE_BENCH_REPEATS",
+        NonZeroUsize::new(3).expect("3 > 0"),
+    )
+    .get()
 }
 
-/// Reads the operator-instance sweep.
+/// Reads the operator-instance sweep (`SPECTRE_BENCH_KS`, see
+/// [`parse_ks`]).
 pub fn bench_ks() -> Vec<usize> {
-    std::env::var("SPECTRE_BENCH_KS")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .filter(|&k| k > 0)
-                .collect()
-        })
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4, 8, 16, 32])
+    parse_ks(&env_knob("SPECTRE_BENCH_KS", String::from("1,2,4,8,16,32")))
 }
 
 /// The NYSE generator configuration of the Q1/Q2 experiments.
@@ -137,71 +174,76 @@ pub fn rand_stream(events: usize, seed: u64) -> (Schema, Vec<Event>, Vec<SymbolI
     (schema, stream, symbols)
 }
 
-/// Runs SPECTRE in the virtual-time simulator and reports throughput in
-/// events/second (calibrated by [`PER_INSTANCE_EVENT_RATE`]).
-pub fn sim_throughput(query: &Arc<Query>, events: &[Event], config: &SpectreConfig) -> f64 {
-    sim_report(query, events, config).throughput(PER_INSTANCE_EVENT_RATE)
-}
-
-/// Runs SPECTRE in the simulator and returns the full report.
+/// Runs SPECTRE over `source` in a simulated engine session and returns
+/// its report. The source streams straight into the session, so a
+/// generator is never materialized; `Vec` callers pass
+/// `events.iter().cloned()`.
 ///
 /// The virtual-time calibration defines a round as *one event per
-/// instance* ([`SimReport::throughput`]), so the figure harness pins
+/// instance* (see [`calibrated_throughput`]), so the figure harness pins
 /// `batch_size` to 1 regardless of the passed configuration — a batched
 /// round would process up to `batch_size` events and inflate the
 /// calibrated events/s by that factor. The batched data path is a
 /// real-thread optimization; its win is measured by the threaded
 /// `end_to_end` bench.
-pub fn sim_report(query: &Arc<Query>, events: &[Event], config: &SpectreConfig) -> SimReport {
-    let config = SpectreConfig {
-        batch_size: 1,
-        ..config.clone()
-    };
-    // `run_simulated` is itself a thin wrapper over a `SpectreEngine`
-    // session; the figure harness wants exactly its `SimReport` shape
-    // (virtual rounds drive the calibrated throughput).
-    run_simulated(query, events.to_vec(), &config)
-}
-
-/// [`sim_report`] over a *streaming* source: the generator feeds the
-/// simulated engine session directly, with no `Vec` fixture at any point —
-/// the figure binaries' measurement path, which must scale to the paper's
-/// 24 M-quote stream without materializing it. Pins `batch_size` to 1 for
-/// the same calibration reason as [`sim_report`]; the virtual rounds and
-/// outputs are identical to the materialized path on the same stream.
-pub fn sim_report_streamed(
+pub fn sim_report(
     query: &Arc<Query>,
     source: impl IntoIterator<Item = Event>,
     config: &SpectreConfig,
-) -> SimReport {
+) -> Report {
     let config = SpectreConfig {
         batch_size: 1,
         ..config.clone()
     };
-    let report = SpectreEngine::builder(query)
+    SpectreEngine::builder(query)
         .config(config)
         .simulated()
         .build()
-        .run(source);
-    SimReport {
-        complex_events: report.complex_events,
-        metrics: report.metrics,
-        rounds: report.rounds.expect("simulated sessions report rounds"),
-        input_events: report.input_events,
-        splitter_wall: report
-            .splitter_wall
-            .expect("simulated sessions report splitter wall time"),
-        total_wall: report.wall,
-    }
+        .run(source)
 }
 
-/// [`sim_throughput`] over a streaming source.
-pub fn sim_throughput_streamed(
+/// [`sim_report`] reduced to its [`calibrated_throughput`].
+pub fn sim_throughput(
     query: &Arc<Query>,
     source: impl IntoIterator<Item = Event>,
     config: &SpectreConfig,
 ) -> f64 {
-    sim_report_streamed(query, source, config).throughput(PER_INSTANCE_EVENT_RATE)
+    calibrated_throughput(&sim_report(query, source, config))
+}
+
+/// Virtual throughput of a simulated run in events/second:
+/// `input_events / rounds ×` [`PER_INSTANCE_EVENT_RATE`]. Zero for a run
+/// of zero rounds.
+///
+/// # Panics
+///
+/// Panics if the report comes from a threaded session (no rounds).
+pub fn calibrated_throughput(report: &Report) -> f64 {
+    let rounds = report.rounds.expect("simulated sessions report rounds");
+    if rounds == 0 {
+        return 0.0;
+    }
+    report.input_events as f64 / rounds as f64 * PER_INSTANCE_EVENT_RATE
+}
+
+/// Real scheduling cycles per second of splitter wall time (paper
+/// Fig. 10(c)): `sched_cycles / splitter_wall`. Zero when no splitter time
+/// was measured.
+///
+/// # Panics
+///
+/// Panics if the report comes from a threaded session (no splitter wall
+/// time).
+pub fn scheduling_cycles_per_sec(report: &Report) -> f64 {
+    let secs = report
+        .splitter_wall
+        .expect("simulated sessions report splitter wall time")
+        .as_secs_f64();
+    if secs == 0.0 {
+        0.0
+    } else {
+        report.metrics.sched_cycles as f64 / secs
+    }
 }
 
 /// The paper's candlestick summary: 0th, 25th, 50th, 75th and 100th
@@ -335,12 +377,65 @@ mod tests {
         let (mut schema, events) = nyse_stream(2000, 11);
         let query = Arc::new(queries::q1(&mut schema, 3, 200, Direction::Rising));
         let config = SpectreConfig::with_instances(4);
-        let fixture = sim_report(&query, &events, &config);
+        let fixture = sim_report(&query, events.iter().cloned(), &config);
         let mut schema2 = Schema::new();
         let source = nyse_source(2000, 11, &mut schema2);
-        let streamed = sim_report_streamed(&query, source, &config);
+        let streamed = sim_report(&query, source, &config);
         assert_eq!(streamed.complex_events, fixture.complex_events);
         assert_eq!(streamed.rounds, fixture.rounds);
         assert_eq!(streamed.input_events, fixture.input_events);
+        let expected = spectre_baselines::run_sequential(&query, &events).complex_events;
+        assert_eq!(streamed.complex_events, expected);
+    }
+
+    #[test]
+    fn calibrated_figures_derive_from_the_report() {
+        use spectre_query::queries::{self, Direction};
+        let (mut schema, events) = nyse_stream(500, 2);
+        let query = Arc::new(queries::q1(&mut schema, 2, 100, Direction::Rising));
+        let report = sim_report(&query, events, &SpectreConfig::with_instances(2));
+        let rounds = report.rounds.unwrap();
+        assert!(rounds > 0);
+        assert_eq!(
+            calibrated_throughput(&report),
+            500.0 / rounds as f64 * PER_INSTANCE_EVENT_RATE
+        );
+        assert_eq!(
+            sim_throughput(
+                &query,
+                nyse_stream(500, 2).1,
+                &SpectreConfig::with_instances(2)
+            ),
+            calibrated_throughput(&report),
+            "the simulation is deterministic"
+        );
+        assert!(report.metrics.sched_cycles > 0);
+        assert!(scheduling_cycles_per_sec(&report) > 0.0);
+    }
+
+    #[test]
+    fn knobs_parse() {
+        assert_eq!(parse_knob::<usize>("SPECTRE_BENCH_EVENTS", "2000"), 2000);
+        assert_eq!(parse_knob::<u64>("SPECTRE_BENCH_WS", " 800 "), 800);
+        assert_eq!(parse_ks("1,4"), vec![1, 4]);
+        assert_eq!(parse_ks(" 1, 2 ,16"), vec![1, 2, 16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid SPECTRE_BENCH_EVENTS=\"1e6\"")]
+    fn unparsable_knob_names_the_variable_and_value() {
+        parse_knob::<usize>("SPECTRE_BENCH_EVENTS", "1e6");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid SPECTRE_BENCH_KS=\"x\"")]
+    fn ks_with_an_unparsable_entry_is_rejected() {
+        parse_ks("1,x,4");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid SPECTRE_BENCH_KS=\"0\"")]
+    fn ks_with_a_zero_entry_is_rejected() {
+        parse_ks("2,0");
     }
 }

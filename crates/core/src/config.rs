@@ -71,9 +71,9 @@ pub struct SpectreConfig {
     pub checkpoint_freq: Option<u32>,
     /// Opt-in out-of-order ingestion: `Some` interposes a watermark-driven
     /// [`ReorderBuffer`](crate::reorder::ReorderBuffer) between the session
-    /// surface (`push`/`push_batch`/`ingest`) and the splitter, so events
-    /// may arrive up to [`ReorderConfig::max_delay`] timestamp ticks out
-    /// of order and still produce the exact in-order output. Buffer-cap
+    /// surface (`push`/`ingest`) and the splitter, so events may arrive up
+    /// to [`ReorderConfig::max_delay`] timestamp ticks out of order and
+    /// still produce the exact in-order output. Buffer-cap
     /// back-pressure surfaces as the existing `PushResult::Full`. `None`
     /// (the default) feeds the splitter directly — timestamps are assumed
     /// monotone, exactly the pre-reorder behavior.

@@ -18,22 +18,22 @@
 //!   speculative outputs and roll back on consistency violations
 //!   (paper §3.3).
 //!
-//! The runtime is an incremental **engine session**, [`SpectreEngine`]:
+//! The runtime is one incremental **engine session**, [`SpectreEngine`]:
 //! built with a builder (`SpectreEngine::builder(&query).config(cfg)
-//! .threaded()/.simulated().build()`), fed with `push` / `push_batch` /
-//! `ingest` (any `Iterator<Item = Event>` — a dataset generator, a TCP
-//! source — streams in without ever being materialized), drained with
+//! .threaded()/.simulated().build()`), fed with `push` / `ingest` (any
+//! `Iterator<Item = Event>` — a dataset generator, a framed byte source —
+//! streams in without ever being materialized), drained with
 //! `drain_outputs` (complex events as they are committed, tagged with the
 //! producing query; `drain_events` for the untagged single-query stream),
-//! observed with `metrics`, and closed with `finish() -> Report`.
+//! observed with `metrics`, and closed with `finish() -> Report` (or run
+//! over a finite stream in one call with `run(events) -> Report`).
 //! Back-pressure is part of the surface: `push` returns `Full(event)`
 //! instead of buffering without bound, so memory stays bounded by the
 //! speculative-load cap regardless of stream length. Two execution modes
 //! share the session: deterministic virtual-time simulation (used for the
-//! paper's scalability figures) and real OS threads. The legacy one-shot
-//! drivers [`run_simulated`] and [`run_threaded`] survive as thin wrappers
-//! over a session. Every mode delivers exactly the sequential-semantics
-//! output: no false positives, no false negatives, in window order.
+//! paper's scalability figures) and real OS threads. Every mode delivers
+//! exactly the sequential-semantics output: no false positives, no false
+//! negatives, in window order.
 //!
 //! Streams need not arrive in timestamp order: the opt-in
 //! [`SpectreConfig::reorder`] knob interposes a watermark-driven
@@ -156,9 +156,7 @@ pub mod matrix;
 pub mod metrics;
 pub mod predictor;
 pub mod reorder;
-pub mod runtime;
 pub mod shared;
-pub mod sim;
 pub mod splitter;
 pub mod store;
 pub mod tree;
@@ -170,8 +168,6 @@ pub use engine::{
 };
 pub use metrics::{MetricsSnapshot, WorkerSnapshot};
 pub use reorder::{LatePolicy, ReorderConfig, WatermarkPolicy};
-pub use runtime::{run_threaded, ThreadedReport};
 pub use shared::{QueryId, TenantId};
-pub use sim::{run_simulated, SimReport};
 pub use splitter::{EventBatch, Splitter};
 pub use store::WindowStore;

@@ -14,8 +14,9 @@
 //! * **RAND** — a random sequence of events over 300 equally likely symbols
 //!   ([`rand_stream`]).
 //!
-//! [`csv`] persists streams to disk and [`replay`] feeds them to engines,
-//! optionally through the binary codec to mimic the paper's TCP client.
+//! [`csv`] persists streams to disk, and [`net::FramedSource`] decodes a
+//! stream framed with the binary codec from any reader (a file, a buffer,
+//! a socket), mimicking the engine side of the paper's TCP client.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,10 +26,8 @@ pub mod disorder;
 pub mod net;
 pub mod nyse;
 pub mod rand_stream;
-pub mod replay;
 
 pub use disorder::{bounded_shuffle, max_disorder};
-pub use net::{FramedItems, FramedSource, StreamServer, TcpSource};
+pub use net::{FramedItems, FramedSource};
 pub use nyse::{NyseConfig, NyseGenerator};
 pub use rand_stream::{RandConfig, RandGenerator};
-pub use replay::ReplaySource;

@@ -1,129 +1,57 @@
-//! TCP ingestion path (paper §4.1: "we provide a client program that reads
-//! events from a source file and sends them to SPECTRE over a TCP
-//! connection").
+//! Framed byte-stream ingestion (paper §4.1: "we provide a client program
+//! that reads events from a source file and sends them to SPECTRE over a
+//! TCP connection").
 //!
-//! [`StreamServer`] plays the client role of the paper (it *produces* the
-//! stream); [`FramedSource`] is the engine-side source: an
+//! [`FramedSource`] is the one pull-side decoder: an
 //! `Iterator<Item = Event>` decoding length-prefixed frames
-//! ([`spectre_events::codec`]) from any `Read` — [`TcpSource`] is its
-//! socket instantiation. Being plain iterators, both plug straight into a
-//! `SpectreEngine` session (`engine.ingest(source)`), which processes the
-//! stream incrementally under back-pressure: a live TCP feed of any length
-//! runs in bounded memory, never materialized as a `Vec`.
+//! ([`spectre_events::codec`]) from any `Read` — a file, an in-memory
+//! buffer, or a `TcpStream` the caller connected. Being a plain iterator,
+//! it plugs straight into a `SpectreEngine` session
+//! (`engine.ingest(source)`), which processes the stream incrementally
+//! under back-pressure: a feed of any length runs in bounded memory, never
+//! materialized as a `Vec`. Push ingestion from many concurrent clients
+//! over TCP is the job of the `spectre-server` crate.
 //!
 //! Out-of-order streams carry **watermark frames** alongside events
-//! ([`spectre_events::codec::WATERMARK_MAGIC`]):
-//! [`StreamServer::spawn_items`] serves them,
-//! [`FramedSource::items`] yields them as
-//! [`StreamItem`]s for
-//! `SpectreEngine::ingest_items`, and the plain event iterator skips them,
-//! so event-only consumers work unchanged on punctuated streams.
+//! ([`spectre_events::codec::WATERMARK_MAGIC`]): [`FramedSource::items`]
+//! yields them as [`StreamItem`]s for `SpectreEngine::ingest_items`, and
+//! the plain event iterator skips them, so event-only consumers work
+//! unchanged on punctuated streams.
 //!
 //! # Example
 //!
 //! ```
-//! use spectre_events::{Event, EventType, Schema};
-//! use spectre_datasets::net::{StreamServer, TcpSource};
+//! use std::io::Cursor;
+//! use spectre_datasets::net::FramedSource;
+//! use spectre_events::codec::encode_items;
+//! use spectre_events::{Event, EventType, StreamItem};
 //!
-//! let mut schema = Schema::new();
-//! let t = schema.event_type("E");
-//! let events: Vec<Event> = (0..100).map(|i| Event::builder(t).seq(i).ts(i).build()).collect();
-//!
-//! let server = StreamServer::spawn(events.clone()).unwrap();
-//! let source = TcpSource::connect(server.addr()).unwrap();
-//! let received: Vec<Event> = source.collect();
-//! assert_eq!(received, events);
-//! server.join();
+//! let event = |seq| Event::builder(EventType::new(0)).seq(seq).ts(seq).build();
+//! let items = vec![
+//!     StreamItem::Event(event(0)),
+//!     StreamItem::Watermark(0),
+//!     StreamItem::Event(event(1)),
+//! ];
+//! let wire = encode_items(&items).to_vec();
+//! // The item view keeps the punctuation, the event view skips it.
+//! let decoded: Vec<StreamItem> = FramedSource::new(Cursor::new(wire.clone())).items().collect();
+//! assert_eq!(decoded, items);
+//! assert_eq!(FramedSource::new(Cursor::new(wire)).count(), 2);
 //! ```
 
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::thread::JoinHandle;
+use std::io::Read;
 
-use bytes::BytesMut;
-use spectre_events::codec::{encode, encode_watermark, Decoder};
+use spectre_events::codec::Decoder;
 use spectre_events::{Event, StreamItem};
-
-/// How many events are encoded per write burst.
-const BATCH: usize = 256;
-
-/// A background thread serving one event stream to the first client that
-/// connects — the paper's "client program" counterpart.
-#[derive(Debug)]
-pub struct StreamServer {
-    addr: SocketAddr,
-    handle: JoinHandle<io::Result<u64>>,
-}
-
-impl StreamServer {
-    /// Binds an ephemeral loopback port and spawns the serving thread. The
-    /// thread accepts exactly one connection, streams all events and closes.
-    ///
-    /// # Errors
-    ///
-    /// Returns any error from binding the listener.
-    pub fn spawn(events: Vec<Event>) -> io::Result<StreamServer> {
-        Self::spawn_items(events.into_iter().map(StreamItem::Event).collect())
-    }
-
-    /// [`spawn`](Self::spawn) for punctuated streams: serves events *and*
-    /// watermark frames, in order. The returned count tallies only events
-    /// (watermarks are punctuation, not payload).
-    ///
-    /// # Errors
-    ///
-    /// Returns any error from binding the listener.
-    pub fn spawn_items(items: Vec<StreamItem>) -> io::Result<StreamServer> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let handle = std::thread::spawn(move || -> io::Result<u64> {
-            let (mut stream, _) = listener.accept()?;
-            stream.set_nodelay(true)?;
-            let mut buf = BytesMut::new();
-            let mut sent = 0u64;
-            for chunk in items.chunks(BATCH) {
-                buf.clear();
-                for item in chunk {
-                    match item {
-                        StreamItem::Event(ev) => {
-                            encode(ev, &mut buf);
-                            sent += 1;
-                        }
-                        StreamItem::Watermark(ts) => encode_watermark(*ts, &mut buf),
-                    }
-                }
-                stream.write_all(&buf)?;
-            }
-            stream.flush()?;
-            Ok(sent)
-        });
-        Ok(StreamServer { addr, handle })
-    }
-
-    /// The address to connect to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Waits for the serving thread; returns the number of events sent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the serving thread failed (I/O error or panic).
-    pub fn join(self) -> u64 {
-        self.handle
-            .join()
-            .expect("stream server thread panicked")
-            .expect("stream server I/O failed")
-    }
-}
 
 /// Engine-side framed event source: decodes length-prefixed events from
 /// any byte reader — a socket, a file, an in-memory buffer.
 ///
 /// The iterator ends when the reader reports end-of-input and all buffered
-/// frames are drained. Malformed frames end the stream as well (the decode
-/// error is retrievable via [`FramedSource::error`]).
+/// frames are drained. A read error, a malformed frame or an input that
+/// ends mid-frame ends the stream for good: the error is retrievable via
+/// [`FramedSource::error`], and every later call returns `None` (both
+/// views are fused), so no frame after a bad one is ever yielded.
 ///
 /// # Example
 ///
@@ -131,16 +59,15 @@ impl StreamServer {
 ///
 /// ```
 /// use spectre_datasets::net::FramedSource;
-/// use spectre_events::codec::encode;
+/// use spectre_events::codec::encode_all;
 /// use spectre_events::{Event, EventType};
-/// use bytes::BytesMut;
 ///
-/// let mut wire = BytesMut::new();
-/// for seq in 0..10 {
-///     encode(&Event::builder(EventType::new(0)).seq(seq).ts(seq).build(), &mut wire);
-/// }
+/// let events: Vec<Event> = (0..10)
+///     .map(|seq| Event::builder(EventType::new(0)).seq(seq).ts(seq).build())
+///     .collect();
+/// let wire = encode_all(&events);
 /// let source = FramedSource::new(std::io::Cursor::new(wire.to_vec()));
-/// assert_eq!(source.count(), 10);
+/// assert_eq!(source.collect::<Vec<_>>(), events);
 /// ```
 #[derive(Debug)]
 pub struct FramedSource<R: Read> {
@@ -184,9 +111,15 @@ impl<R: Read> FramedSource<R> {
 
     /// Attempts to decode the next stream item — an event or a watermark
     /// punctuation — reading more bytes as needed. `None` at end of input
-    /// (or on error; see [`error`](Self::error)). An input that ends in the
-    /// middle of a frame is an error, not a clean end.
+    /// (or on error; see [`error`](Self::error)), and on every call after
+    /// an error. An input that ends in the middle of a frame is an error,
+    /// not a clean end.
     pub fn next_item(&mut self) -> Option<StreamItem> {
+        if self.error.is_some() {
+            // The decoder has already consumed the bad frame; resuming
+            // would silently skip it.
+            return None;
+        }
         loop {
             match self.decoder.next_item() {
                 Ok(Some(item)) => return Some(item),
@@ -243,46 +176,13 @@ impl<R: Read> Iterator for FramedItems<R> {
     }
 }
 
-/// Engine-side TCP event source: [`FramedSource`] over a socket.
-pub type TcpSource = FramedSource<TcpStream>;
-
-impl FramedSource<TcpStream> {
-    /// Connects to a [`StreamServer`] (or any peer speaking the codec).
-    ///
-    /// # Errors
-    ///
-    /// Returns any connection error.
-    pub fn connect(addr: SocketAddr) -> io::Result<TcpSource> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(FramedSource::new(stream))
-    }
-}
-
 impl<R: Read> Iterator for FramedSource<R> {
     type Item = Event;
 
     fn next(&mut self) -> Option<Event> {
         loop {
-            match self.decoder.next_event() {
-                Ok(Some(ev)) => return Some(ev),
-                Ok(None) => {}
-                Err(e) => {
-                    self.error = Some(e.to_string());
-                    return None;
-                }
-            }
-            if self.eof {
-                self.check_torn_at_eof();
-                return None;
-            }
-            match self.reader.read(&mut self.read_buf) {
-                Ok(0) => self.eof = true,
-                Ok(n) => self.decoder.extend(&self.read_buf[..n]),
-                Err(e) => {
-                    self.error = Some(e.to_string());
-                    return None;
-                }
+            if let StreamItem::Event(ev) = self.next_item()? {
+                return Some(ev);
             }
         }
     }
@@ -292,33 +192,37 @@ impl<R: Read> Iterator for FramedSource<R> {
 mod tests {
     use super::*;
     use crate::{NyseConfig, NyseGenerator};
-    use spectre_events::Schema;
+    use spectre_events::codec::{encode_all, encode_items};
+    use spectre_events::{AttrKey, EventType, Schema, Value};
+    use std::io::Cursor;
+
+    fn reader(wire: &[u8]) -> Cursor<Vec<u8>> {
+        Cursor::new(wire.to_vec())
+    }
+
+    fn nyse(events: usize, seed: u64) -> Vec<Event> {
+        let mut schema = Schema::new();
+        NyseGenerator::new(NyseConfig::small(events, seed), &mut schema).collect()
+    }
 
     #[test]
-    fn roundtrip_over_loopback() {
-        let mut schema = Schema::new();
-        let events: Vec<Event> =
-            NyseGenerator::new(NyseConfig::small(500, 3), &mut schema).collect();
-        let server = StreamServer::spawn(events.clone()).unwrap();
-        let source = TcpSource::connect(server.addr()).unwrap();
+    fn roundtrip_through_a_reader() {
+        let events = nyse(500, 3);
+        let source = FramedSource::new(reader(&encode_all(&events)));
         let received: Vec<Event> = source.collect();
         assert_eq!(received, events);
-        assert_eq!(server.join(), 500);
     }
 
     #[test]
     fn empty_stream_closes_cleanly() {
-        let server = StreamServer::spawn(Vec::new()).unwrap();
-        let source = TcpSource::connect(server.addr()).unwrap();
-        assert_eq!(source.count(), 0);
-        assert_eq!(server.join(), 0);
+        let mut source = FramedSource::new(reader(&[]));
+        assert_eq!(source.by_ref().count(), 0);
+        assert!(source.error().is_none());
     }
 
     #[test]
-    fn watermarked_stream_roundtrips_over_loopback() {
-        let mut schema = Schema::new();
-        let events: Vec<Event> =
-            NyseGenerator::new(NyseConfig::small(40, 9), &mut schema).collect();
+    fn watermarked_stream_roundtrips() {
+        let events = nyse(40, 9);
         // Punctuate every 10 events with the last timestamp seen.
         let mut items = Vec::new();
         for (i, ev) in events.iter().enumerate() {
@@ -328,42 +232,31 @@ mod tests {
                 items.push(StreamItem::Watermark(ts));
             }
         }
-        let server = StreamServer::spawn_items(items.clone()).unwrap();
-        let source = TcpSource::connect(server.addr()).unwrap();
+        let source = FramedSource::new(reader(&encode_items(&items)));
         let received: Vec<StreamItem> = source.items().collect();
         assert_eq!(received, items);
-        assert_eq!(server.join(), 40, "watermarks are not counted as events");
     }
 
     #[test]
     fn event_iterator_skips_watermarks() {
-        let mut schema = Schema::new();
-        let events: Vec<Event> =
-            NyseGenerator::new(NyseConfig::small(25, 11), &mut schema).collect();
+        let events = nyse(25, 11);
         let mut items = vec![StreamItem::Watermark(0)];
         for ev in &events {
             items.push(StreamItem::Event(ev.clone()));
             items.push(StreamItem::Watermark(ev.ts()));
         }
-        let server = StreamServer::spawn_items(items).unwrap();
-        let source = TcpSource::connect(server.addr()).unwrap();
+        let source = FramedSource::new(reader(&encode_items(&items)));
         let received: Vec<Event> = source.collect();
         assert_eq!(received, events);
-        server.join();
     }
 
     #[test]
     fn truncated_stream_surfaces_decode_error() {
-        let mut schema = Schema::new();
-        let events: Vec<Event> =
-            NyseGenerator::new(NyseConfig::small(20, 7), &mut schema).collect();
-        let mut wire = BytesMut::new();
-        for ev in &events {
-            encode(ev, &mut wire);
-        }
+        let events = nyse(20, 7);
+        let wire = encode_all(&events);
         // Chop the stream mid-frame: the last event loses its final bytes.
         let cut = wire.len() - 3;
-        let mut source = FramedSource::new(std::io::Cursor::new(wire[..cut].to_vec()));
+        let mut source = FramedSource::new(reader(&wire[..cut]));
         let decoded: Vec<Event> = source.by_ref().collect();
         assert_eq!(decoded, events[..events.len() - 1]);
         let err = source.error().expect("torn tail must surface as an error");
@@ -373,10 +266,9 @@ mod tests {
     #[test]
     fn truncated_item_stream_surfaces_decode_error() {
         // A watermark frame cut short: sentinel magic present, timestamp torn.
-        let mut wire = BytesMut::new();
-        encode_watermark(42, &mut wire);
+        let wire = encode_items(&[StreamItem::Watermark(42)]);
         let cut = wire.len() - 2;
-        let mut items = FramedSource::new(std::io::Cursor::new(wire[..cut].to_vec())).items();
+        let mut items = FramedSource::new(reader(&wire[..cut])).items();
         assert!(items.next().is_none());
         let err = items
             .error()
@@ -387,7 +279,7 @@ mod tests {
     #[test]
     fn oversized_length_prefix_surfaces_decode_error() {
         let bad = (spectre_events::codec::MAX_FRAME_LEN as u32 + 1).to_le_bytes();
-        let mut source = FramedSource::new(std::io::Cursor::new(bad.to_vec()));
+        let mut source = FramedSource::new(reader(&bad));
         assert!(source.next().is_none());
         let err = source
             .error()
@@ -397,13 +289,46 @@ mod tests {
 
     #[test]
     fn source_reports_no_error_on_clean_close() {
-        let mut schema = Schema::new();
-        let events: Vec<Event> =
-            NyseGenerator::new(NyseConfig::small(10, 5), &mut schema).collect();
-        let server = StreamServer::spawn(events).unwrap();
-        let mut source = TcpSource::connect(server.addr()).unwrap();
+        let events = nyse(10, 5);
+        let mut source = FramedSource::new(reader(&encode_all(&events)));
         while source.next().is_some() {}
         assert!(source.error().is_none());
-        server.join();
+    }
+
+    /// Three one-attribute event frames (seq 0, 1, 2) whose middle frame
+    /// carries the unknown value tag 9.
+    fn wire_with_bad_middle_frame() -> Vec<u8> {
+        let events: Vec<Event> = (0..3)
+            .map(|seq| {
+                Event::builder(EventType::new(0))
+                    .seq(seq)
+                    .ts(seq)
+                    .attr(AttrKey::new(0), Value::F64(1.5))
+                    .build()
+            })
+            .collect();
+        let mut wire = encode_all(&events).to_vec();
+        let frame = wire.len() / 3;
+        // Length prefix, seq, ts, event type, attribute count, attribute key.
+        let tag = frame + 4 + 8 + 8 + 2 + 2 + 2;
+        assert_eq!(wire[tag], 0, "the F64 tag");
+        wire[tag] = 9;
+        wire
+    }
+
+    #[test]
+    fn decode_error_ends_the_stream_for_good() {
+        let mut source = FramedSource::new(reader(&wire_with_bad_middle_frame()));
+        let decoded: Vec<Event> = source.by_ref().collect();
+        assert_eq!(decoded.len(), 1);
+        assert_eq!(decoded[0].seq(), 0);
+        assert_eq!(source.error(), Some("unknown value tag 9"));
+        assert_eq!(source.next(), None, "no frame after a bad one is yielded");
+        assert_eq!(source.error(), Some("unknown value tag 9"));
+
+        let mut items = FramedSource::new(reader(&wire_with_bad_middle_frame())).items();
+        assert_eq!(items.by_ref().count(), 1);
+        assert_eq!(items.error(), Some("unknown value tag 9"));
+        assert_eq!(items.next(), None, "no frame after a bad one is yielded");
     }
 }

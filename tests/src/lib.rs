@@ -2,13 +2,14 @@
 //!
 //! The tests in `tests/` compare every execution mode of the workspace —
 //! the sequential reference, the wait-based parallel baseline, the T-REX
-//! style automaton engine, the deterministic simulation runtime and the
-//! threaded runtime — against each other on the paper's queries and
-//! datasets. This crate hosts the small amount of common scaffolding.
+//! style automaton engine, and the engine session in its deterministic
+//! simulation and threaded modes — against each other on the paper's
+//! queries and datasets. This crate hosts the small amount of common
+//! scaffolding.
 
 use std::sync::Arc;
 
-use spectre_core::{run_simulated, SpectreConfig};
+use spectre_core::{SpectreConfig, SpectreEngine};
 use spectre_events::Event;
 use spectre_query::{ComplexEvent, Query};
 
@@ -31,13 +32,17 @@ pub fn assert_same_output(label: &str, got: &[ComplexEvent], expected: &[Complex
     );
 }
 
-/// Runs the simulation runtime for each `k` and asserts output equality
+/// Runs a simulated engine session for each `k` and asserts output equality
 /// with the sequential reference (the paper's central correctness claim,
 /// §2.3: no false positives, no false negatives).
 pub fn assert_sim_matches_sequential(query: &Arc<Query>, events: &[Event], ks: &[usize]) {
     let expected = spectre_baselines::run_sequential(query, events).complex_events;
     for &k in ks {
-        let report = run_simulated(query, events.to_vec(), &SpectreConfig::with_instances(k));
+        let report = SpectreEngine::builder(query)
+            .config(SpectreConfig::with_instances(k))
+            .simulated()
+            .build()
+            .run(events.iter().cloned());
         assert_same_output(&format!("sim k={k}"), &report.complex_events, &expected);
     }
 }

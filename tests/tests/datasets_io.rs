@@ -1,13 +1,15 @@
-//! Dataset, CSV and replay-path integration: generators are deterministic,
-//! CSV round-trips losslessly, and the framed (codec) ingestion path feeds
-//! engines identically to direct replay.
+//! Dataset, CSV and framed-source integration: generators are
+//! deterministic, CSV round-trips losslessly, and the framed (codec)
+//! ingestion path feeds engines identically to direct replay.
 
+use std::io::{Cursor, Read};
 use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
-use spectre_core::{run_simulated, SpectreConfig};
-use spectre_datasets::{csv, NyseConfig, NyseGenerator, RandConfig, RandGenerator, ReplaySource};
-use spectre_events::Schema;
+use spectre_core::{SpectreConfig, SpectreEngine};
+use spectre_datasets::{csv, FramedSource, NyseConfig, NyseGenerator, RandConfig, RandGenerator};
+use spectre_events::codec::encode_all;
+use spectre_events::{Event, Schema};
 use spectre_integration::fmt_all;
 use spectre_query::queries::{self, Direction};
 
@@ -94,14 +96,38 @@ fn csv_read_rejects_malformed_lines() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A reader over encoded frames that hands out at most `limit` bytes per
+/// `read`, so frames straddle reads the way they do on a socket.
+struct Trickle {
+    wire: Cursor<Vec<u8>>,
+    limit: usize,
+}
+
+impl Trickle {
+    fn new(events: &[Event], limit: usize) -> Trickle {
+        Trickle {
+            wire: Cursor::new(encode_all(events).to_vec()),
+            limit,
+        }
+    }
+}
+
+impl Read for Trickle {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.limit);
+        self.wire.read(&mut buf[..n])
+    }
+}
+
 #[test]
 fn framed_replay_equals_direct_replay() {
     let mut schema = Schema::new();
     let events: Vec<_> = NyseGenerator::new(NyseConfig::small(600, 15), &mut schema).collect();
     for chunk in [1usize, 7, 64, 1024] {
-        let direct: Vec<_> = ReplaySource::direct(events.clone()).collect();
-        let framed: Vec<_> = ReplaySource::framed(events.clone(), chunk).collect();
-        assert_eq!(direct, framed, "chunk = {chunk}");
+        let mut source = FramedSource::new(Trickle::new(&events, chunk));
+        let framed: Vec<_> = source.by_ref().collect();
+        assert_eq!(framed, events, "chunk = {chunk}");
+        assert!(source.error().is_none(), "chunk = {chunk}");
     }
 }
 
@@ -113,7 +139,10 @@ fn engine_output_identical_through_codec_path() {
     let events: Vec<_> = NyseGenerator::new(NyseConfig::small(1200, 19), &mut schema).collect();
     let query = Arc::new(queries::q1(&mut schema, 3, 150, Direction::Rising));
     let expected = run_sequential(&query, &events).complex_events;
-    let framed: Vec<_> = ReplaySource::framed(events, 128).collect();
-    let report = run_simulated(&query, framed, &SpectreConfig::with_instances(4));
+    let report = SpectreEngine::builder(&query)
+        .config(SpectreConfig::with_instances(4))
+        .simulated()
+        .build()
+        .run(FramedSource::new(Trickle::new(&events, 128)));
     assert_eq!(fmt_all(&report.complex_events), fmt_all(&expected));
 }

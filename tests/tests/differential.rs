@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use spectre_core::{run_simulated, PredictorKind, SpectreConfig};
+use spectre_core::{PredictorKind, SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator, RandConfig, RandGenerator};
 use spectre_events::Schema;
 use spectre_integration::{assert_same_output, assert_sim_matches_sequential};
@@ -115,7 +115,11 @@ fn fixed_predictors_do_not_change_output() {
             predictor: PredictorKind::Fixed(p),
             ..Default::default()
         };
-        let report = run_simulated(&query, events.clone(), &config);
+        let report = SpectreEngine::builder(&query)
+            .config(config)
+            .simulated()
+            .build()
+            .run(events.clone());
         assert_same_output(&format!("fixed p={p}"), &report.complex_events, &expected);
     }
 }
@@ -132,7 +136,11 @@ fn aggressive_consistency_check_frequency_is_transparent() {
             consistency_check_freq: freq,
             ..Default::default()
         };
-        let report = run_simulated(&query, events.clone(), &config);
+        let report = SpectreEngine::builder(&query)
+            .config(config)
+            .simulated()
+            .build()
+            .run(events.clone());
         assert_same_output(
             &format!("check_freq={freq}"),
             &report.complex_events,
@@ -154,7 +162,11 @@ fn tiny_tree_budget_is_transparent() {
             max_tree_versions: budget,
             ..Default::default()
         };
-        let report = run_simulated(&query, events.clone(), &config);
+        let report = SpectreEngine::builder(&query)
+            .config(config)
+            .simulated()
+            .build()
+            .run(events.clone());
         assert_same_output(
             &format!("max_tree_versions={budget}"),
             &report.complex_events,
@@ -175,7 +187,11 @@ fn slow_ingestion_is_transparent() {
             ingest_per_cycle: ingest,
             ..Default::default()
         };
-        let report = run_simulated(&query, events.clone(), &config);
+        let report = SpectreEngine::builder(&query)
+            .config(config)
+            .simulated()
+            .build()
+            .run(events.clone());
         assert_same_output(
             &format!("ingest_per_cycle={ingest}"),
             &report.complex_events,
@@ -198,7 +214,11 @@ fn checkpointing_is_transparent() {
             checkpoint_freq: freq,
             ..Default::default()
         };
-        let report = run_simulated(&query, events.clone(), &config);
+        let report = SpectreEngine::builder(&query)
+            .config(config)
+            .simulated()
+            .build()
+            .run(events.clone());
         assert_same_output(
             &format!("checkpoint_freq={freq:?}"),
             &report.complex_events,
@@ -211,7 +231,11 @@ fn checkpointing_is_transparent() {
 fn empty_stream_produces_empty_output() {
     let mut schema = Schema::new();
     let query = Arc::new(queries::q1(&mut schema, 2, 100, Direction::Rising));
-    let report = run_simulated(&query, vec![], &SpectreConfig::with_instances(4));
+    let report = SpectreEngine::builder(&query)
+        .config(SpectreConfig::with_instances(4))
+        .simulated()
+        .build()
+        .run(vec![]);
     assert!(report.complex_events.is_empty());
 }
 

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
 use spectre_core::elastic::{recommend_for, speculative_efficiency, ElasticConfig};
-use spectre_core::{run_simulated, SpectreConfig};
+use spectre_core::{SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator};
 use spectre_events::Schema;
 use spectre_query::queries::{self, Direction};
@@ -17,11 +17,16 @@ fn throughput(
     events: &[spectre_events::Event],
     k: usize,
 ) -> f64 {
-    let report = run_simulated(query, events.to_vec(), &SpectreConfig::with_instances(k));
-    if report.rounds == 0 {
+    let report = SpectreEngine::builder(query)
+        .config(SpectreConfig::with_instances(k))
+        .simulated()
+        .build()
+        .run(events.iter().cloned());
+    let rounds = report.rounds.expect("simulated sessions report rounds");
+    if rounds == 0 {
         0.0
     } else {
-        report.input_events as f64 / report.rounds as f64
+        report.input_events as f64 / rounds as f64
     }
 }
 

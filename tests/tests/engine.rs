@@ -1,16 +1,16 @@
 //! Engine-session streaming equivalence: feeding the incremental
 //! [`SpectreEngine`] — in chunks, or one pushed event at a time with
-//! back-pressure retries — must produce output bit-identical to the legacy
-//! one-shot `Vec` path, in both execution modes, across the seeded NYSE
-//! equivalence matrix (k × batch). Plus the socket-free wire-framing
-//! round trip: NYSE stream → length-prefixed frames → [`FramedSource`] →
-//! engine session.
+//! back-pressure retries — must produce output bit-identical to a one-shot
+//! `run` over the whole `Vec` and to the sequential reference, in both
+//! execution modes, across the seeded NYSE equivalence matrix
+//! (k × batch). Plus the wire-framing round trip: NYSE stream →
+//! length-prefixed frames → [`FramedSource`] → engine session.
 
 use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
-use spectre_core::{run_simulated, run_threaded, PushResult, SpectreConfig, SpectreEngine};
-use spectre_datasets::net::{FramedSource, StreamServer, TcpSource};
+use spectre_core::{PushResult, SpectreConfig, SpectreEngine};
+use spectre_datasets::net::FramedSource;
 use spectre_datasets::{NyseConfig, NyseGenerator};
 use spectre_events::codec::encode_all;
 use spectre_events::{Event, Schema};
@@ -85,11 +85,18 @@ fn stream_by_push(
 #[test]
 fn sim_streaming_matches_vec_path_across_the_matrix() {
     let (query, events) = fixture(2_000, 42);
+    let reference = run_sequential(&query, &events).complex_events;
+    assert!(!reference.is_empty());
     for k in [1usize, 2, 4] {
         for batch in [1usize, 64] {
             let config = SpectreConfig::with_batching(k, batch, 8);
-            let expected = run_simulated(&query, events.clone(), &config).complex_events;
-            assert!(!expected.is_empty());
+            let expected = SpectreEngine::builder(&query)
+                .config(config.clone())
+                .simulated()
+                .build()
+                .run(events.clone())
+                .complex_events;
+            assert_same_output(&format!("sim k={k} batch={batch}"), &expected, &reference);
             let chunked = stream_in_chunks(&query, &events, config.clone(), false, 97);
             assert_same_output(
                 &format!("sim chunked k={k} batch={batch}"),
@@ -109,10 +116,21 @@ fn sim_streaming_matches_vec_path_across_the_matrix() {
 #[test]
 fn threaded_streaming_matches_vec_path_across_the_matrix() {
     let (query, events) = fixture(1_000, 83);
+    let reference = run_sequential(&query, &events).complex_events;
     for k in [1usize, 2, 4] {
         for batch in [1usize, 64] {
             let config = SpectreConfig::with_batching(k, batch, 8);
-            let expected = run_threaded(&query, events.clone(), &config).complex_events;
+            let expected = SpectreEngine::builder(&query)
+                .config(config.clone())
+                .threaded()
+                .build()
+                .run(events.clone())
+                .complex_events;
+            assert_same_output(
+                &format!("threaded k={k} batch={batch}"),
+                &expected,
+                &reference,
+            );
             let chunked = stream_in_chunks(&query, &events, config.clone(), true, 97);
             assert_same_output(
                 &format!("threaded chunked k={k} batch={batch}"),
@@ -158,8 +176,8 @@ fn outputs_are_committed_incrementally() {
 #[test]
 fn framed_wire_roundtrip_feeds_engine_without_sockets() {
     // NYSE stream → length-prefixed wire frames → FramedSource decode →
-    // engine session, entirely in memory: the exact TcpSource framing path
-    // with the socket replaced by a Cursor.
+    // engine session, entirely in memory: the framing path a socket
+    // reader takes, with the socket replaced by a Cursor.
     let (query, events) = fixture(1_200, 19);
     let expected = run_sequential(&query, &events).complex_events;
     assert!(!expected.is_empty());
@@ -176,20 +194,19 @@ fn framed_wire_roundtrip_feeds_engine_without_sockets() {
 }
 
 #[test]
-fn tcp_source_streams_into_threaded_engine() {
-    // The paper's deployment shape end to end: a TCP peer streams framed
-    // events, TcpSource decodes them, and a threaded engine session
+fn framed_source_streams_into_threaded_engine() {
+    // A FramedSource decodes the wire frames and a threaded engine session
     // processes them incrementally — no Vec materialization engine-side.
+    // The socket deployment itself is covered by `tests/server.rs`.
     let (query, events) = fixture(800, 67);
     let expected = run_sequential(&query, &events).complex_events;
-    let server = StreamServer::spawn(events.clone()).unwrap();
-    let source = TcpSource::connect(server.addr()).unwrap();
+    let mut source = FramedSource::new(std::io::Cursor::new(encode_all(&events).to_vec()));
     let report = SpectreEngine::builder(&query)
         .config(SpectreConfig::with_instances(2))
         .threaded()
         .build()
-        .run(source);
-    assert_eq!(server.join(), events.len() as u64);
+        .run(source.by_ref());
+    assert!(source.error().is_none());
     assert_eq!(report.input_events, events.len() as u64);
-    assert_same_output("tcp source", &report.complex_events, &expected);
+    assert_same_output("framed source", &report.complex_events, &expected);
 }

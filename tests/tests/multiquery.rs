@@ -125,11 +125,11 @@ fn deploying_mid_stream_leaves_running_queries_unchanged() {
 
     let run_once = || {
         let (mut engine, ids) = multi_session(&[&a], SpectreConfig::with_instances(2), false);
-        engine.push_batch(events[..750].to_vec());
+        engine.ingest(events[..750].iter().cloned());
         let late_same = engine.deploy_query(&a).expect("deploy same-spec");
         let late_diff = engine.deploy_query(&b).expect("deploy different-spec");
         assert_eq!(engine.query_ids(), vec![ids[0], late_same, late_diff]);
-        engine.push_batch(events[750..].to_vec());
+        engine.ingest(events[750..].iter().cloned());
         let report = engine.try_finish().expect("finish");
         (ids[0], late_same, late_diff, report)
     };
@@ -186,7 +186,7 @@ fn deploying_during_a_disordered_burst_matches_solo_runs() {
         ..SpectreConfig::with_instances(2)
     };
     let (mut engine, ids) = multi_session(&[&a], config, false);
-    engine.push_batch(shuffled[..750].to_vec());
+    engine.ingest(shuffled[..750].iter().cloned());
     assert_eq!(
         engine.events_ingested(),
         0,
@@ -194,7 +194,7 @@ fn deploying_during_a_disordered_burst_matches_solo_runs() {
     );
     let late_same = engine.deploy_query(&a).expect("deploy same-spec");
     let late_diff = engine.deploy_query(&b).expect("deploy different-spec");
-    engine.push_batch(shuffled[750..].to_vec());
+    engine.ingest(shuffled[750..].iter().cloned());
     let report = engine.try_finish().expect("finish");
     assert_same_output("original a", query_outputs(&report, ids[0]), &expected_a);
     assert_same_output(
@@ -233,7 +233,7 @@ fn retiring_during_a_disordered_burst_matches_solo_runs() {
         ..SpectreConfig::with_instances(2)
     };
     let (mut engine, ids) = multi_session(&[&a, &a, &b], config, false);
-    engine.push_batch(shuffled[..750].to_vec());
+    engine.ingest(shuffled[..750].iter().cloned());
     assert_eq!(
         engine.events_ingested(),
         0,
@@ -244,7 +244,7 @@ fn retiring_during_a_disordered_burst_matches_solo_runs() {
         drained.is_empty(),
         "nothing was ingested, so the retired query had committed nothing"
     );
-    engine.push_batch(shuffled[750..].to_vec());
+    engine.ingest(shuffled[750..].iter().cloned());
     let report = engine.try_finish().expect("finish");
     assert_same_output("survivor a", query_outputs(&report, ids[0]), &expected_a);
     assert_same_output("survivor b", query_outputs(&report, ids[2]), &expected_b);
@@ -263,7 +263,7 @@ fn retiring_mid_stream_leaves_surviving_queries_unchanged() {
     assert!(!expected.is_empty());
 
     let (mut engine, ids) = multi_session(&[&a, &a], SpectreConfig::with_instances(2), false);
-    engine.push_batch(events[..750].to_vec());
+    engine.ingest(events[..750].iter().cloned());
     let drained = engine.retire_query(ids[1]).expect("retire deployed query");
     // What the retired query had committed by then is a clean prefix of
     // its (= the solo) output stream — retirement loses nothing that was
@@ -272,7 +272,7 @@ fn retiring_mid_stream_leaves_surviving_queries_unchanged() {
         expected.starts_with(&drained),
         "retired query's drained outputs are a prefix of its solo stream"
     );
-    engine.push_batch(events[750..].to_vec());
+    engine.ingest(events[750..].iter().cloned());
     let report = engine.try_finish().expect("finish");
     assert_same_output("survivor", query_outputs(&report, ids[0]), &expected);
     assert!(

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
-use spectre_core::{run_simulated, SpectreConfig};
+use spectre_core::{SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator};
 use spectre_events::Schema;
 use spectre_integration::fmt_all;
@@ -82,7 +82,11 @@ fn parsed_query_runs_under_speculation() {
     let events: Vec<_> = NyseGenerator::new(NyseConfig::small(1500, 97), &mut schema).collect();
     let parsed = Arc::new(parse_query(&q1_text(3, 150), &mut schema).unwrap());
     let expected = run_sequential(&parsed, &events).complex_events;
-    let report = run_simulated(&parsed, events, &SpectreConfig::with_instances(4));
+    let report = SpectreEngine::builder(&parsed)
+        .config(SpectreConfig::with_instances(4))
+        .simulated()
+        .build()
+        .run(events);
     assert_eq!(fmt_all(&report.complex_events), fmt_all(&expected));
 }
 

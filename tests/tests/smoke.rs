@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
-use spectre_core::{run_simulated, SpectreConfig};
+use spectre_core::{SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator};
 use spectre_events::Schema;
 use spectre_integration::{assert_same_output, assert_sim_matches_sequential};
@@ -47,7 +47,11 @@ fn sim_matches_sequential_across_batch_sizes_shard_counts_and_lazy_modes() {
         for batch in [1usize, 64, 1024] {
             for shards in [1usize, 8] {
                 let config = SpectreConfig::with_batching(k, batch, shards);
-                let report = run_simulated(&query, events.clone(), &config);
+                let report = SpectreEngine::builder(&query)
+                    .config(config)
+                    .simulated()
+                    .build()
+                    .run(events.clone());
                 assert_same_output(
                     &format!("sim k={k} batch={batch} shards={shards}"),
                     &report.complex_events,
@@ -73,7 +77,11 @@ fn lazy_tree_clones_only_scheduled_branches() {
     // through scheduling — abandoned groups drop their thunks for free and
     // only completed groups force a clone. This is where the O(1) claim
     // is sharpest.
-    let report = run_simulated(&query, events, &SpectreConfig::with_instances(1));
+    let report = SpectreEngine::builder(&query)
+        .config(SpectreConfig::with_instances(1))
+        .simulated()
+        .build()
+        .run(events);
     assert_same_output("sim k=1", &report.complex_events, &expected);
 
     let lm = &report.metrics;
@@ -101,7 +109,11 @@ fn splitter_feeds_identical_event_runs_for_every_batch_size() {
     let mut baseline: Option<Vec<String>> = None;
     for batch in [1usize, 7, 64, 1024] {
         let config = SpectreConfig::with_batching(2, batch, 8);
-        let report = run_simulated(&query, events.clone(), &config);
+        let report = SpectreEngine::builder(&query)
+            .config(config)
+            .simulated()
+            .build()
+            .run(events.clone());
         assert_same_output(&format!("batch={batch}"), &report.complex_events, &expected);
         let rendered = spectre_integration::fmt_all(&report.complex_events);
         match &baseline {

@@ -224,7 +224,7 @@ fn live_deploys_respect_the_query_quota() {
     let first = b.add_query_for(TenantId(3), &query);
     b.set_quota(TenantId(3), TenantQuota::default().with_max_queries(2));
     let mut engine = b.try_build().expect("one query is under the cap");
-    engine.push_batch(events[..300].to_vec());
+    engine.ingest(events[..300].iter().cloned());
     // Second deploy fills the quota; the third is rejected mid-stream and
     // leaves the session fully operational.
     let second = engine
@@ -238,7 +238,7 @@ fn live_deploys_respect_the_query_quota() {
     let other = engine
         .deploy_query_for(TenantId(4), &query)
         .expect("other tenants have their own caps");
-    engine.push_batch(events[300..].to_vec());
+    engine.ingest(events[300..].iter().cloned());
     let report = engine.try_finish().expect("finish");
     for qid in [first, second, other] {
         assert!(report.queries.contains_key(&qid));
@@ -274,9 +274,9 @@ fn tenant_rollups_sum_to_the_aggregate() {
     builder.add_query_for(TenantId(2), &b);
     builder.set_quota(TenantId(1), TenantQuota::default().with_weight(3));
     let mut engine = builder.try_build().expect("build");
-    engine.push_batch(events[..600].to_vec());
+    engine.ingest(events[..600].iter().cloned());
     engine.retire_query(retired).expect("retire mid-stream");
-    engine.push_batch(events[600..].to_vec());
+    engine.ingest(events[600..].iter().cloned());
     let report = engine.try_finish().expect("finish");
 
     assert_eq!(report.tenants.len(), 2, "both tenants report a rollup");
@@ -319,7 +319,7 @@ fn tenant_rollups_sum_to_the_aggregate() {
         .config(SpectreConfig::with_instances(2))
         .build();
     engine.deploy_query_for(TenantId(7), &a).expect("deploy");
-    engine.push_batch(events[..200].to_vec());
+    engine.ingest(events[..200].iter().cloned());
     let live = engine.tenant_metrics();
     assert_eq!(live.len(), 1);
     assert_eq!(live[0].0, TenantId(7));

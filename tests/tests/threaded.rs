@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
-use spectre_core::{run_threaded, SpectreConfig, SpectreEngine};
+use spectre_core::{SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator, RandConfig, RandGenerator};
 use spectre_events::Schema;
 use spectre_integration::assert_same_output;
@@ -19,7 +19,11 @@ fn threaded_q1_matches_sequential() {
     let query = Arc::new(queries::q1(&mut schema, 3, 150, Direction::Rising));
     let expected = run_sequential(&query, &events).complex_events;
     for k in [1usize, 2, 3] {
-        let report = run_threaded(&query, events.clone(), &SpectreConfig::with_instances(k));
+        let report = SpectreEngine::builder(&query)
+            .config(SpectreConfig::with_instances(k))
+            .threaded()
+            .build()
+            .run(events.clone());
         assert_same_output(
             &format!("threaded q1 k={k}"),
             &report.complex_events,
@@ -43,7 +47,11 @@ fn threaded_q3_matches_sequential() {
         40,
     ));
     let expected = run_sequential(&query, &events).complex_events;
-    let report = run_threaded(&query, events, &SpectreConfig::with_instances(2));
+    let report = SpectreEngine::builder(&query)
+        .config(SpectreConfig::with_instances(2))
+        .threaded()
+        .build()
+        .run(events);
     assert_same_output("threaded q3", &report.complex_events, &expected);
 }
 
@@ -55,7 +63,11 @@ fn threaded_repeated_runs_are_deterministic_in_output() {
     let query = Arc::new(queries::q2(&mut schema, 60.0, 140.0, 200, 40));
     let expected = run_sequential(&query, &events).complex_events;
     for run in 0..3 {
-        let report = run_threaded(&query, events.clone(), &SpectreConfig::with_instances(2));
+        let report = SpectreEngine::builder(&query)
+            .config(SpectreConfig::with_instances(2))
+            .threaded()
+            .build()
+            .run(events.clone());
         eprintln!("run {run}: metrics = {:?}", report.metrics);
         assert_same_output(&format!("run {run}"), &report.complex_events, &expected);
     }
@@ -78,7 +90,11 @@ fn threaded_matches_sequential_across_batch_sizes_shard_counts_and_lazy_modes() 
         for batch in [1usize, 64, 1024] {
             for shards in [1usize, 8] {
                 let config = SpectreConfig::with_batching(k, batch, shards);
-                let report = run_threaded(&query, events.clone(), &config);
+                let report = SpectreEngine::builder(&query)
+                    .config(config)
+                    .threaded()
+                    .build()
+                    .run(events.clone());
                 assert_same_output(
                     &format!("threaded k={k} batch={batch} shards={shards}"),
                     &report.complex_events,
@@ -150,7 +166,11 @@ fn threaded_reports_plausible_metrics() {
     let mut schema = Schema::new();
     let events: Vec<_> = NyseGenerator::new(NyseConfig::small(500, 73), &mut schema).collect();
     let query = Arc::new(queries::q1(&mut schema, 2, 100, Direction::Rising));
-    let report = run_threaded(&query, events, &SpectreConfig::with_instances(2));
+    let report = SpectreEngine::builder(&query)
+        .config(SpectreConfig::with_instances(2))
+        .threaded()
+        .build()
+        .run(events);
     let m = &report.metrics;
     assert!(
         m.events_processed >= 500,
